@@ -665,3 +665,191 @@ let tests =
         prop_merge_associative_idempotent;
         prop_spine_update_count;
       ]
+
+(* {1 install_all: batch validation} *)
+
+let small_topo =
+  Topology.create ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~hosts_per_leaf:4
+    ~cores_per_plane:1
+
+let small_params = Params.create ~fmax:50 ()
+
+let test_install_all_rejects_duplicates () =
+  let ctrl = Controller.create small_topo small_params in
+  let m = [ (0, Controller.Both); (1, Controller.Receiver) ] in
+  Alcotest.check_raises "duplicate group in batch"
+    (Invalid_argument "Controller.install_all: group exists") (fun () ->
+      ignore (Controller.install_all ctrl [ (1, m); (1, m) ]));
+  Alcotest.(check int) "no partial state" 0 (Controller.group_count ctrl);
+  ignore (Controller.add_group ctrl ~group:7 m);
+  Alcotest.check_raises "group already installed"
+    (Invalid_argument "Controller.install_all: group exists") (fun () ->
+      ignore (Controller.install_all ctrl [ (2, m); (7, m) ]));
+  Alcotest.check_raises "duplicate member host"
+    (Invalid_argument "Controller.install_all: duplicate member host")
+    (fun () ->
+      ignore
+        (Controller.install_all ctrl
+           [ (2, m); (8, [ (0, Controller.Both); (0, Controller.Receiver) ]) ]));
+  (* All-or-nothing: group 2 preceded the bad entry in both rejected
+     batches and still never landed. *)
+  Alcotest.(check int) "only the add_group landed" 1 (Controller.group_count ctrl);
+  Alcotest.check_raises "group 2 never installed" Not_found (fun () ->
+      ignore (Controller.members ctrl ~group:2))
+
+let test_install_all_empty_and_senders_only () =
+  let ctrl = Controller.create small_topo small_params in
+  let u = Controller.install_all ctrl [] in
+  Alcotest.(check bool) "empty batch, no updates" true (u = Controller.no_updates);
+  let u =
+    Controller.install_all ctrl [ (3, [ (0, Controller.Sender) ]) ]
+  in
+  Alcotest.(check int) "sender-only group installed" 1
+    (Controller.group_count ctrl);
+  Alcotest.(check bool) "no receivers, no encoding" true
+    (Controller.encoding ctrl ~group:3 = None);
+  Alcotest.(check (list int)) "no switch updates" [] u.Controller.leaves
+
+(* {1 Golden pin: Algorithm 1 against the live s-rule ledger}
+
+   Six seeded WVE batches on a 4-pod fabric, each at a loose and a tight
+   parameter set, reduced to one digest over leaf and spine occupancy, the
+   total s-rule count, every group's serialized header for its first
+   sender, and the merged updates. The constants were taken from the
+   earlier two-phase (snapshot + transaction) encoder, so they pin that
+   the single live-ledger encode makes the same decisions. *)
+
+let pin_topo =
+  Topology.create ~pods:4 ~leaves_per_pod:4 ~spines_per_pod:2 ~hosts_per_leaf:8
+    ~cores_per_plane:2
+
+(* Loose: everything fits. Tight: one p-rule per layer and a 3-entry group
+   table, so groups fight over s-rule slots and some are denied. *)
+let pin_params =
+  [
+    ("loose", Params.create ~r:6 ~header_budget:None ());
+    ( "tight",
+      Params.create ~hmax_leaf:1 ~hmax_spine:1 ~fmax:3 ~header_budget:None () );
+  ]
+
+let pin_batch seed =
+  let rng = Rng.create seed in
+  (* Fixed tenant sizes: the default sampler's heavy tail (up to 5,000 VMs)
+     can overflow this small fabric. *)
+  let tenant_sizes = Array.init 15 (fun i -> 10 + (5 * i)) in
+  let placement =
+    Vm_placement.place rng pin_topo ~strategy:(Vm_placement.Pack_up_to 12)
+      ~host_capacity:20 ~tenant_sizes
+  in
+  let wrng = Rng.create (seed + 1) in
+  let groups =
+    Workload.generate wrng placement ~kind:Group_dist.Wve ~total_groups:150
+  in
+  let role_rng = Rng.create (seed + 2) in
+  let role () =
+    match Rng.int role_rng 3 with
+    | 0 -> Controller.Sender
+    | 1 -> Controller.Receiver
+    | _ -> Controller.Both
+  in
+  Array.to_list groups
+  |> List.map (fun g ->
+         ( g.Workload.group_id,
+           Array.to_list g.Workload.member_hosts
+           |> List.map (fun h -> (h, role ())) ))
+
+let pin_digest ctrl batch (u : Controller.updates) =
+  let b = Buffer.create 4096 in
+  let ints a = Array.iter (fun x -> Printf.bprintf b "%d," x) a in
+  let s = Controller.srule_state ctrl in
+  ints (Srule_state.leaf_occupancy s);
+  Buffer.add_char b '|';
+  ints (Srule_state.spine_occupancy s);
+  Printf.bprintf b "|%d|" (Srule_state.total_srules s);
+  List.iter
+    (fun (group, members) ->
+      Printf.bprintf b "g%d:" group;
+      match
+        List.find_opt
+          (fun (_, r) -> r = Controller.Sender || r = Controller.Both)
+          members
+      with
+      | None -> Buffer.add_char b '-'
+      | Some (sender, _) -> (
+          match Controller.header ctrl ~group ~sender with
+          | None -> Buffer.add_char b '~'
+          | Some hdr ->
+              Buffer.add_string b
+                (Digest.to_hex
+                   (Digest.bytes (Header_codec.encode pin_topo hdr)))))
+    (List.sort (fun (g1, _) (g2, _) -> Int.compare g1 g2) batch);
+  Buffer.add_char b '|';
+  ints (Array.of_list u.Controller.hypervisors);
+  Buffer.add_char b '|';
+  ints (Array.of_list u.Controller.leaves);
+  Buffer.add_char b '|';
+  ints (Array.of_list u.Controller.pods);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (seed, parameter set) -> (total s-rules, digest). *)
+let pinned =
+  [
+    ((11, "loose"), (0, "51db1b81455db677575c4dcddab84991"));
+    ((11, "tight"), (72, "707011f0d28263b73a90715d2edcfed3"));
+    ((23, "loose"), (0, "d51b12927a0cf7db75a3227eba9c026e"));
+    ((23, "tight"), (72, "90fad4a8e4cd1becee7f3c5cad31c771"));
+    ((37, "loose"), (0, "fb3da455fe0118be993c90641109a887"));
+    ((37, "tight"), (72, "0fc09b9ce530fdbd403b3c2a94a2832b"));
+  ]
+
+let at_capacity ctrl =
+  let s = Controller.srule_state ctrl in
+  let fmax = Srule_state.fmax s in
+  let full n used = List.exists (fun i -> used s i >= fmax) (List.init n Fun.id) in
+  full (Topology.num_leaves pin_topo) Srule_state.leaf_used
+  || full pin_topo.Topology.pods Srule_state.pod_used
+
+let test_golden_pin () =
+  List.iter
+    (fun seed ->
+      let batch = pin_batch seed in
+      List.iter
+        (fun (pname, params) ->
+          let label path = Printf.sprintf "seed %d/%s/%s" seed pname path in
+          let srules, digest = List.assoc (seed, pname) pinned in
+          let check path ctrl u =
+            Alcotest.(check int) (label path ^ ": total s-rules") srules
+              (Srule_state.total_srules (Controller.srule_state ctrl));
+            Alcotest.(check string) (label path ^ ": digest") digest
+              (pin_digest ctrl batch u);
+            Alcotest.(check bool) (label path ^ ": ledger invariants") true
+              (Srule_state.check (Controller.srule_state ctrl));
+            if pname = "tight" then
+              Alcotest.(check bool)
+                (label path ^ ": some leaf or pod at Fmax")
+                true (at_capacity ctrl)
+          in
+          let seq = Controller.create pin_topo params in
+          let u =
+            List.fold_left
+              (fun acc (group, members) ->
+                Controller.merge_updates acc
+                  (Controller.add_group seq ~group members))
+              Controller.no_updates
+              (List.sort (fun (g1, _) (g2, _) -> Int.compare g1 g2) batch)
+          in
+          check "add_group" seq u;
+          let batched = Controller.create pin_topo params in
+          check "install_all" batched (Controller.install_all batched batch))
+        pin_params)
+    [ 11; 23; 37 ]
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "install_all: duplicate validation" `Quick
+        test_install_all_rejects_duplicates;
+      Alcotest.test_case "install_all: empty and sender-only" `Quick
+        test_install_all_empty_and_senders_only;
+      Alcotest.test_case "golden pin: live-ledger encode" `Slow test_golden_pin;
+    ]
