@@ -1,4 +1,4 @@
-.PHONY: all check test lint bench bench-churn bench-hotpath bench-parallel bench-faults bench-recovery bench-shard bench-telemetry bench-verify clean
+.PHONY: all check test lint bench bench-churn bench-hotpath bench-faults bench-recovery bench-telemetry bench-verify perfbench-selftest clean
 
 all:
 	dune build
@@ -30,12 +30,6 @@ bench-churn:
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
 
-# Domain-scaling benchmark for the two-phase batch controller; writes
-# BENCH_parallel.json (groups/sec at 1/2/4 domains vs the sequential
-# add_group baseline, with commit-conflict counts).
-bench-parallel:
-	dune exec bench/main.exe -- parallel
-
 # Fault-injection sweep for the fault-tolerant control plane; writes
 # BENCH_faults.json (degradation-induced extra traffic vs fault rate, with
 # blackhole counts that must stay at zero).
@@ -48,13 +42,6 @@ bench-faults:
 # BENCH_recovery.json (ELMO_RECOVERY_EVENTS / ELMO_RECOVERY_TRIALS scale it).
 bench-recovery:
 	dune exec bench/main.exe -- recovery
-
-# Sharded-commit scaling: batch install and churn throughput of the per-pod
-# control plane across 1/2/4/8 domains, with occupancy-checksum, conflict
-# and predicate-identity cross-checks vs the sequential controller; writes
-# BENCH_shard.json (ELMO_SHARD_GROUPS scales the group count).
-bench-shard:
-	dune exec bench/main.exe -- shard
 
 # Telemetry baseline: Zipf-skewed packet workload through the oblivious
 # encoder with the dataplane recorder attached; writes BENCH_telemetry.json
@@ -69,6 +56,12 @@ bench-telemetry:
 # writes BENCH_verify.json (ELMO_VERIFY_GROUPS scales the group count).
 bench-verify:
 	dune exec bench/main.exe -- verify
+
+# Same-box benchmark self-test: every workload twice at one seed and once
+# at the next; exits 1 on any failed op or a nondeterministic op stream
+# (about two minutes).
+perfbench-selftest:
+	dune exec --root . -- ./perfbench/main.exe --selftest
 
 clean:
 	dune clean

@@ -5,7 +5,7 @@
    Usage: main.exe [target ...]
    Targets: fig4 fig5 uniform constrained table2 failures fig6 sflow fig7
             table3 ablation twotier nonclos legacy bisection strawman churn
-            hotpath parallel faults shard te-baseline verify micro all
+            hotpath faults recovery te-baseline verify micro all
             (default: all)
 
    Scale: ELMO_GROUPS=<n> sets the sampled group count (default 100_000);
@@ -472,7 +472,7 @@ let churn () =
   let prov =
     Provenance.capture ~seed:97
       ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
+      ()
   in
   let oc = open_out "BENCH_churn.json" in
   Printf.fprintf oc
@@ -494,405 +494,6 @@ let churn () =
     (json_of base) speedup (metrics_field ());
   close_out oc;
   printf "wrote BENCH_churn.json@."
-
-(* {1 Parallel batch encoding: domain scaling of the two-phase controller} *)
-
-type parallel_run = {
-  par_label : string;
-  par_domains : int;  (* 0 = per-group add_group baseline *)
-  groups_per_sec : float;
-  par_total_s : float;
-  par_conflicts : int;
-}
-
-let parallel () =
-  hr "Parallel: two-phase batch group encoding across domains (BENCH_parallel.json)";
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
-  let total_groups =
-    match Sys.getenv_opt "ELMO_PAR_GROUPS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_PAR_GROUPS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 4_000
-  in
-  let fmax = max 50 (30_000 * total_groups / 1_000_000) in
-  let params = Params.create ~fmax () in
-  let cores = Domain.recommended_domain_count () in
-  printf "topology: %a; %d groups; fmax=%d; available cores: %d@." Topology.pp
-    topo total_groups fmax cores;
-  let rng = Rng.create 5 in
-  let tenant_sizes = Vm_placement.default_tenant_sizes rng 200 in
-  let placement =
-    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to 12)
-      ~host_capacity:20 ~tenant_sizes
-  in
-  let workload_rng = Rng.create 6 in
-  let groups =
-    Workload.generate workload_rng placement ~kind:Group_dist.Wve ~total_groups
-  in
-  (* One role'd batch, shared by every run, so all modes encode the exact
-     same input. *)
-  let role_rng = Rng.create 9 in
-  let role () =
-    match Rng.int role_rng 3 with
-    | 0 -> Controller.Sender
-    | 1 -> Controller.Receiver
-    | _ -> Controller.Both
-  in
-  let batch =
-    Array.to_list groups
-    |> List.map (fun g ->
-           ( g.Workload.group_id,
-             Array.to_list g.Workload.member_hosts
-             |> List.map (fun h -> (h, role ())) ))
-  in
-  let occupancy ctrl =
-    let s = Controller.srule_state ctrl in
-    (Srule_state.leaf_occupancy s, Srule_state.spine_occupancy s)
-  in
-  let timed label domains install =
-    let ctrl = Controller.create topo params in
-    let t0 = Unix.gettimeofday () in
-    install ctrl;
-    let dt = Unix.gettimeofday () -. t0 in
-    ( {
-        par_label = label;
-        par_domains = domains;
-        groups_per_sec =
-          (if dt > 0.0 then float_of_int total_groups /. dt else 0.0);
-        par_total_s = dt;
-        par_conflicts = Controller.batch_conflicts ctrl;
-      },
-      occupancy ctrl )
-  in
-  let seq, seq_occ =
-    timed "add_group" 0 (fun ctrl ->
-        List.iter
-          (fun (group, members) ->
-            ignore (Controller.add_group ctrl ~group members))
-          batch)
-  in
-  let par_runs =
-    List.map
-      (fun d ->
-        let r, occ =
-          timed (Printf.sprintf "install_all d=%d" d) d (fun ctrl ->
-              ignore (Controller.install_all ~domains:d ctrl batch))
-        in
-        if occ <> seq_occ then begin
-          printf "FAIL: occupancy diverges from sequential at domains=%d@." d;
-          exit 1
-        end;
-        r)
-      [ 1; 2; 4 ]
-  in
-  let runs = seq :: par_runs in
-  printf "@.%-20s %-10s %-12s %-10s %-10s %-10s@." "mode" "domains" "groups/s"
-    "total s" "conflicts" "speedup";
-  List.iter
-    (fun r ->
-      printf "%-20s %-10d %-12.0f %-10.3f %-10d %-10.2f@." r.par_label
-        r.par_domains r.groups_per_sec r.par_total_s r.par_conflicts
-        (if seq.groups_per_sec > 0.0 then r.groups_per_sec /. seq.groups_per_sec
-         else 0.0))
-    runs;
-  printf "s-rule occupancy identical across all runs@.";
-  let json_of r =
-    Printf.sprintf
-      {|    {"mode": "%s", "domains": %d, "groups_per_sec": %.1f, "total_s": %.4f, "conflicts": %d, "speedup_vs_sequential": %.4f}|}
-      r.par_label r.par_domains r.groups_per_sec r.par_total_s r.par_conflicts
-      (if seq.groups_per_sec > 0.0 then r.groups_per_sec /. seq.groups_per_sec
-       else 0.0)
-  in
-  let prov =
-    Provenance.capture ~seed:5
-      ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:4 ()
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "parallel",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "groups": %d,
-  "fmax": %d,
-  "occupancy_identical": true,
-  "runs": [
-%s
-  ]%s
-}
-|}
-    (Provenance.to_json prov) total_groups fmax
-    (String.concat ",\n" (List.map json_of runs))
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_parallel.json@."
-
-(* {1 Sharded commit: batch and churn scaling of the per-pod control plane} *)
-
-type shard_run = {
-  sh_label : string;
-  sh_domains : int;  (* 0 = per-group add_group baseline *)
-  sh_groups_per_sec : float;
-  sh_install_s : float;
-  sh_churn_events_per_sec : float;
-  sh_conflicts : int;
-  sh_checksum : int;
-}
-
-let shard () =
-  hr
-    "Shard: per-pod sharded commit, batch + churn scaling across domains \
-     (BENCH_shard.json)";
-  with_local_metrics @@ fun () ->
-  let topo =
-    Topology.create ~pods:8 ~leaves_per_pod:8 ~spines_per_pod:4
-      ~hosts_per_leaf:32 ~cores_per_plane:4
-  in
-  let total_groups =
-    match Sys.getenv_opt "ELMO_SHARD_GROUPS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            printf "ELMO_SHARD_GROUPS must be a positive integer (got %S)@." s;
-            exit 1)
-    | None -> 4_000
-  in
-  (* [Domains.clamp] warns once if the sweep exceeds what this machine can
-     actually parallelize. *)
-  let domains_list = List.map Domains.clamp [ 1; 2; 4; 8 ] in
-  printf "topology: %a; %d groups; available cores: %d@." Topology.pp topo
-    total_groups (Domains.recommended ());
-  let rng = Rng.create 5 in
-  let tenant_sizes = Vm_placement.default_tenant_sizes rng 200 in
-  let placement =
-    Vm_placement.place rng topo ~strategy:(Vm_placement.Pack_up_to 12)
-      ~host_capacity:20 ~tenant_sizes
-  in
-  let workload_rng = Rng.create 6 in
-  let groups =
-    Workload.generate workload_rng placement ~kind:Group_dist.Wve ~total_groups
-  in
-  let role_rng = Rng.create 9 in
-  let role () =
-    match Rng.int role_rng 3 with
-    | 0 -> Controller.Sender
-    | 1 -> Controller.Receiver
-    | _ -> Controller.Both
-  in
-  let batch =
-    Array.to_list groups
-    |> List.map (fun g ->
-           ( g.Workload.group_id,
-             Array.to_list g.Workload.member_hosts
-             |> List.map (fun h -> (h, role ())) ))
-  in
-  let nhosts = Topology.num_hosts topo in
-  let churn_events = max 500 (total_groups / 4) in
-  (* Deterministic churn stream: same seed per run, so every domain count
-     drives the identical event sequence against its own controller. *)
-  let drive_churn ctrl =
-    let rng = Rng.create 17 in
-    let performed = ref 0 in
-    for _ = 1 to churn_events do
-      let group = Rng.int rng total_groups in
-      let members = Controller.members ctrl ~group in
-      let want_join = members = [] || Rng.bool rng in
-      if want_join then begin
-        let host = Rng.int rng nhosts in
-        if not (List.mem_assoc host members) then begin
-          ignore (Controller.join ctrl ~group ~host ~role:Controller.Both);
-          incr performed
-        end
-      end
-      else begin
-        let host, _ = List.nth members (Rng.int rng (List.length members)) in
-        ignore (Controller.leave ctrl ~group ~host);
-        incr performed
-      end
-    done;
-    !performed
-  in
-  let checksum ctrl =
-    let s = Controller.srule_state ctrl in
-    let fold = Array.fold_left (fun acc v -> ((acc * 31) + v) land 0x3FFFFFFF) in
-    fold (fold 17 (Srule_state.leaf_occupancy s)) (Srule_state.spine_occupancy s)
-  in
-  let loose_fmax = max 50 (30_000 * total_groups / 1_000_000) in
-  let tight_fmax = max 3 (loose_fmax / 20) in
-  let sweep_json = ref [] in
-  List.iter
-    (fun (mode, fmax) ->
-      printf "@.-- fmax sweep: %s (fmax=%d) --@." mode fmax;
-      let params = Params.create ~fmax () in
-      let timed label domains install =
-        let ctrl = Controller.create topo params in
-        let t0 = Unix.gettimeofday () in
-        install ctrl;
-        let t1 = Unix.gettimeofday () in
-        let performed = drive_churn ctrl in
-        let t2 = Unix.gettimeofday () in
-        let install_s = t1 -. t0 and churn_s = t2 -. t1 in
-        ( {
-            sh_label = label;
-            sh_domains = domains;
-            sh_groups_per_sec =
-              (if install_s > 0.0 then
-                 float_of_int total_groups /. install_s
-               else 0.0);
-            sh_install_s = install_s;
-            sh_churn_events_per_sec =
-              (if churn_s > 0.0 then float_of_int performed /. churn_s
-               else 0.0);
-            sh_conflicts = Controller.batch_conflicts ctrl;
-            sh_checksum = checksum ctrl;
-          },
-          ctrl )
-      in
-      let seq, seq_ctrl =
-        timed "add_group" 0 (fun ctrl ->
-            List.iter
-              (fun (group, members) ->
-                ignore (Controller.add_group ctrl ~group members))
-              batch)
-      in
-      let par =
-        List.map
-          (fun d ->
-            let r, ctrl =
-              timed (Printf.sprintf "install_all d=%d" d) d (fun ctrl ->
-                  ignore (Controller.install_all ~domains:d ctrl batch))
-            in
-            if r.sh_checksum <> seq.sh_checksum then begin
-              printf
-                "FAIL: occupancy checksum diverges from sequential at \
-                 domains=%d@."
-                d;
-              exit 1
-            end;
-            (r, ctrl))
-          domains_list
-      in
-      (* Conflicts are part of the bit-identity contract: every domain
-         count must hit exactly the same optimistic-commit invalidations. *)
-      let conflict_counts =
-        List.sort_uniq compare (List.map (fun (r, _) -> r.sh_conflicts) par)
-      in
-      if List.length conflict_counts <> 1 then begin
-        printf "FAIL: batch conflicts differ across domain counts: %s@."
-          (String.concat ", "
-             (List.map string_of_int conflict_counts));
-        exit 1
-      end;
-      (* Symbolic proof for the largest domain count: the sharded and the
-         sequential configuration compile to pointer-identical delivery
-         predicates for every group. *)
-      let _, last_ctrl = List.nth par (List.length par - 1) in
-      let ctx = Pred.create_ctx () in
-      let scfg = Controller.installed_config seq_ctrl in
-      let pcfg = Controller.installed_config last_ctrl in
-      let identical =
-        List.for_all
-          (fun gid ->
-            Verify.equiv
-              (Verify.compile ctx scfg ~group:gid)
-              (Verify.compile ctx pcfg ~group:gid))
-          (Installed_config.group_ids scfg)
-      in
-      if not identical then begin
-        printf "FAIL: delivery predicates diverge from sequential@.";
-        exit 1
-      end;
-      printf
-        "occupancy checksums identical; conflicts identical (%d); delivery \
-         predicates pointer-identical@."
-        (List.hd conflict_counts);
-      let runs = seq :: List.map fst par in
-      printf "@.%-20s %-8s %-12s %-12s %-10s %-10s@." "mode" "domains"
-        "groups/s" "churn ev/s" "conflicts" "speedup";
-      List.iter
-        (fun r ->
-          printf "%-20s %-8d %-12.0f %-12.0f %-10d %-10.2f@." r.sh_label
-            r.sh_domains r.sh_groups_per_sec r.sh_churn_events_per_sec
-            r.sh_conflicts
-            (if seq.sh_groups_per_sec > 0.0 then
-               r.sh_groups_per_sec /. seq.sh_groups_per_sec
-             else 0.0))
-        runs;
-      let shards = Controller.shard_stats last_ctrl in
-      printf "per-pod shards (d=%d): %s@."
-        (List.nth domains_list (List.length domains_list - 1))
-        (String.concat "; "
-           (List.map
-              (fun (s : Controller.shard_stat) ->
-                Printf.sprintf "pod%d: %d groups (%d cross), %d churn"
-                  s.Controller.shard_pod s.Controller.shard_groups
-                  s.Controller.shard_cross_pod s.Controller.shard_churn_events)
-              shards));
-      let run_json r =
-        Printf.sprintf
-          {|      {"mode": "%s", "domains": %d, "groups_per_sec": %.1f, "install_s": %.4f, "churn_events_per_sec": %.1f, "conflicts": %d, "occupancy_checksum": %d, "speedup_vs_sequential": %.4f}|}
-          r.sh_label r.sh_domains r.sh_groups_per_sec r.sh_install_s
-          r.sh_churn_events_per_sec r.sh_conflicts r.sh_checksum
-          (if seq.sh_groups_per_sec > 0.0 then
-             r.sh_groups_per_sec /. seq.sh_groups_per_sec
-           else 0.0)
-      in
-      let shard_json (s : Controller.shard_stat) =
-        Printf.sprintf
-          {|      {"pod": %d, "groups": %d, "conflicts": %d, "single_pod": %d, "cross_pod": %d, "churn_events": %d}|}
-          s.Controller.shard_pod s.Controller.shard_groups
-          s.Controller.shard_conflicts s.Controller.shard_single_pod
-          s.Controller.shard_cross_pod s.Controller.shard_churn_events
-      in
-      sweep_json :=
-        Printf.sprintf
-          {|    {"fmax_mode": "%s", "fmax": %d, "occupancy_identical": true, "conflicts_identical": true, "predicates_pointer_identical": true,
-    "runs": [
-%s
-    ],
-    "shards": [
-%s
-    ]}|}
-          mode fmax
-          (String.concat ",\n" (List.map run_json runs))
-          (String.concat ",\n" (List.map shard_json shards))
-        :: !sweep_json)
-    [ ("loose", loose_fmax); ("tight", tight_fmax) ];
-  let prov =
-    Provenance.capture ~seed:5
-      ~params:(Printf.sprintf "fmax loose=%d tight=%d" loose_fmax tight_fmax)
-      ~domains:(List.nth domains_list (List.length domains_list - 1))
-      ()
-  in
-  let oc = open_out "BENCH_shard.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "shard",
-  "provenance": %s,
-  "topology": {"pods": 8, "leaves_per_pod": 8, "spines_per_pod": 4, "hosts_per_leaf": 32},
-  "groups": %d,
-  "churn_events": %d,
-  "domains_swept": [%s],
-  "sweeps": [
-%s
-  ]%s
-}
-|}
-    (Provenance.to_json prov) total_groups churn_events
-    (String.concat ", " (List.map string_of_int domains_list))
-    (String.concat ",\n" (List.rev !sweep_json))
-    (metrics_field ());
-  close_out oc;
-  printf "wrote BENCH_shard.json@."
 
 (* {1 Fault tolerance: degradation-induced traffic vs fault rate} *)
 
@@ -956,7 +557,7 @@ let faults () =
   let prov =
     Provenance.capture ~seed:23
       ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
+      ()
   in
   let oc = open_out "BENCH_faults.json" in
   Printf.fprintf oc
@@ -1139,7 +740,7 @@ let recovery () =
   let prov =
     Provenance.capture ~seed
       ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
+      ()
   in
   let sweep_json (snapshot_every, nrec, nbytes, suffix, dt, ops_s) =
     Printf.sprintf
@@ -1281,7 +882,7 @@ let verify () =
   let prov =
     Provenance.capture ~seed:41
       ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
+      ()
   in
   let oc = open_out "BENCH_verify.json" in
   Printf.fprintf oc
@@ -1530,7 +1131,7 @@ let hotpath () =
   let prov =
     Provenance.capture ~seed:97
       ~params:(Format.asprintf "%a" Params.pp params)
-      ~domains:1 ()
+      ()
   in
   (* Instrumented epilogue: a short burst of the same kernel under a local
      metrics registry, AFTER the probe and the timed loop — metrics-on costs
@@ -1650,14 +1251,14 @@ let te_baseline () =
   in
   let elephant_json (e : Tel_report.elephant) =
     Printf.sprintf
-      {|    {"group": %d, "est": %d, "err": %d, "exact": %d, "within_bound": %b}|}
+      {|    {"group": %d, "est": %d, "err": %d, "exact": %d, "within_bound": %b, "guaranteed": %b}|}
       e.Tel_report.eg e.Tel_report.est e.Tel_report.err
-      e.Tel_report.exact_bytes e.Tel_report.within
+      e.Tel_report.exact_bytes e.Tel_report.within e.Tel_report.guaranteed
   in
   let prov =
     Provenance.capture ~seed:cfg.Tel_report.seed
       ~params:(Format.asprintf "%a" Params.pp cfg.Tel_report.params)
-      ~domains:1 ()
+      ()
   in
   let oc = open_out "BENCH_telemetry.json" in
   Printf.fprintf oc
@@ -1729,10 +1330,8 @@ let targets =
     ("strawman", strawman);
     ("churn", churn);
     ("hotpath", hotpath);
-    ("parallel", parallel);
     ("faults", faults);
     ("recovery", recovery);
-    ("shard", shard);
     ("te-baseline", te_baseline);
     ("verify", verify);
     ("micro", micro);

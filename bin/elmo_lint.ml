@@ -8,9 +8,8 @@
    sources (for suppression-comment scanning) when the linter is not run
    from the workspace root — dune lint rules pass %{workspace_root}.
 
-   Targets are linted; deps only extend the domain-safety reachability
-   analysis (so a Domain_pool.map call in a target can flag top-level
-   mutable state in a dependency). Exit status: 0 clean, 1 findings,
+   Targets are linted; deps only let the zero-alloc rule resolve calls
+   into other libraries. Exit status: 0 clean, 1 findings,
    2 usage or I/O error. Findings print as [path:line: [rule-id] message]
    with workspace-relative paths, so editors can jump straight to them. *)
 

@@ -106,17 +106,7 @@ let budget_arg =
   let doc = "Header budget in bytes (0 disables budget-driven Hmax)." in
   Arg.(value & opt int 325 & info [ "budget" ] ~docv:"BYTES" ~doc)
 
-let domains_arg =
-  let doc =
-    "Worker domains for batch group encoding (results are identical for any \
-     value; default from ELMO_DOMAINS or 1)."
-  in
-  Arg.(
-    value
-    & opt int (Scalability.domains_from_env 1)
-    & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
-let config groups tenants seed placement dist fmax budget domains =
+let config groups tenants seed placement dist fmax budget =
   let fmax =
     match fmax with
     | Some f -> f
@@ -131,17 +121,16 @@ let config groups tenants seed placement dist fmax budget domains =
     dist;
     params = Params.create ~fmax ~header_budget ();
     seed;
-    domains = max 1 domains;
   }
 
 let scalability_cmd =
-  let run groups tenants seed placement dist fmax budget domains rs trace_file
-      metrics =
-    let cfg = config groups tenants seed placement dist fmax budget domains in
+  let run groups tenants seed placement dist fmax budget rs trace_file metrics
+      =
+    let cfg = config groups tenants seed placement dist fmax budget in
     let prov =
       Provenance.capture ~seed
         ~params:(Format.asprintf "%a" Params.pp cfg.Scalability.params)
-        ~domains:cfg.Scalability.domains ()
+        ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     Format.printf "topology: %a@.placement: %a  dist: %a  groups: %d  params: %a@."
@@ -155,7 +144,7 @@ let scalability_cmd =
   let term =
     Term.(
       const run $ groups_arg $ tenants_arg $ seed_arg $ placement_arg
-      $ dist_arg $ fmax_arg $ budget_arg $ domains_arg $ r_arg $ trace_arg
+      $ dist_arg $ fmax_arg $ budget_arg $ r_arg $ trace_arg
       $ metrics_arg)
   in
   Cmd.v
@@ -168,9 +157,9 @@ let churn_cmd =
   let events_arg =
     Arg.(value & opt int 20_000 & info [ "events" ] ~docv:"N" ~doc:"Membership events.")
   in
-  let run groups tenants seed placement dist fmax budget domains events
-      trace_file metrics =
-    let base = config groups tenants seed placement dist fmax budget domains in
+  let run groups tenants seed placement dist fmax budget events trace_file
+      metrics =
+    let base = config groups tenants seed placement dist fmax budget in
     let cfg =
       {
         Control_plane.topo = base.Scalability.topo;
@@ -183,13 +172,12 @@ let churn_cmd =
         events_per_second = 1_000.0;
         failure_trials = 5;
         seed = base.Scalability.seed;
-        domains = base.Scalability.domains;
       }
     in
     let prov =
       Provenance.capture ~seed
         ~params:(Format.asprintf "%a" Params.pp base.Scalability.params)
-        ~domains:base.Scalability.domains ()
+        ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     with_obs trace_file metrics (fun () ->
@@ -200,7 +188,7 @@ let churn_cmd =
   let term =
     Term.(
       const run $ groups_arg $ tenants_arg $ seed_arg $ placement_arg
-      $ dist_arg $ fmax_arg $ budget_arg $ domains_arg $ events_arg
+      $ dist_arg $ fmax_arg $ budget_arg $ events_arg
       $ trace_arg $ metrics_arg)
   in
   Cmd.v
@@ -263,7 +251,7 @@ let faults_cmd =
     let prov =
       Provenance.capture ~seed
         ~params:(Format.asprintf "%a" Params.pp params)
-        ~domains:1 ()
+        ()
     in
     Format.printf "provenance: %a@." Provenance.pp prov;
     Format.printf "topology: %a; 12 groups x 8 members; %d events per rate@."
@@ -496,7 +484,7 @@ let top_cmd =
         let prov =
           Provenance.capture ~seed
             ~params:(Format.asprintf "%a" Params.pp cfg.Elmo_telemetry.Report.params)
-            ~domains:1 ()
+            ()
         in
         Format.printf "provenance: %a@." Provenance.pp prov;
         Format.printf "topology: %a (%.0f Gbps links)@." Topology.pp topo
@@ -534,8 +522,8 @@ let top_cmd =
        ~doc:
          "One-shot dataplane telemetry snapshot: run a skewed packet \
           workload over an instrumented fabric and print the hottest links, \
-          elephant groups (sketch vs exact), churn fast-path rate and shard \
-          commits.")
+          elephant groups (sketch vs exact, heavy or candidate) and the \
+          churn fast-path rate.")
     Term.(
       const run $ groups_arg $ packets_arg $ churn_arg $ seed_arg $ k_arg
       $ watermark_arg $ expose_arg $ example_arg $ flight_dump_arg $ trace_arg)

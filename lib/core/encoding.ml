@@ -127,76 +127,82 @@ let with_legacy ~legacy ~reserve layer cluster =
       end)
     res legacy_switches
 
-(* The only external state a group encode consults is switch capacity, and
-   only through the two probe-and-reserve closures below — everything else
-   is a pure function of (params, tree). The closures either hit the live
-   ledger (sequential path) or a transaction over a frozen snapshot
-   (parallel batch path); identical probe answers imply identical output. *)
-let encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod
-    (params : Params.t) ~reserve_leaf ~reserve_pod tree =
-  (* Eligibility is checked before the capacity probe (short-circuit), so a
-     switch the controller has degraded never even logs a probe: its traffic
-     is folded into the default p-rule as if the switch were full. *)
-  let reserve_leaf l = srule_ok_leaf l && reserve_leaf l in
-  let reserve_pod p = srule_ok_pod p && reserve_pod p in
-  let hmax_spine, hmax_leaf = budgeted_hmax tree.Tree.topo params tree in
-  let d_leaf =
-    with_legacy ~legacy:legacy_leaf ~reserve:reserve_leaf tree.Tree.leaf_bitmaps
-      (Clustering.run ~r:params.r ~semantics:params.r_semantics ~hmax:hmax_leaf
-         ~kmax:params.kmax ~has_srule_space:reserve_leaf)
-  in
-  let d_spine =
-    (* On a two-tier fabric the only spine a packet visits is the sender's,
-       which forwards on the upstream rule — no downstream spine rules are
-       ever consulted. *)
-    if Topology.is_two_tier tree.Tree.topo then
-      { Clustering.prules = []; srules = []; default = None }
-    else
-      with_legacy ~legacy:legacy_pod ~reserve:reserve_pod tree.Tree.spine_bitmaps
-        (Clustering.run ~r:params.r ~semantics:params.r_semantics
-           ~hmax:hmax_spine ~kmax:params.kmax ~has_srule_space:reserve_pod)
-  in
-  let idx_kind, idx_exact, idx_rule, idx_site_bm = build_index d_leaf tree in
-  let scratch_width = Topology.leaf_downstream_width tree.Tree.topo in
-  {
-    tree;
-    params;
-    d_spine;
-    d_leaf;
-    stale = 0;
-    idx_kind;
-    idx_exact;
-    idx_rule;
-    idx_site_bm;
-    scratch_a = Bitmap.create scratch_width;
-    scratch_b = Bitmap.create scratch_width;
-  }
-
-let encode_txn ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
-    ?(srule_ok_leaf = all_ok) ?(srule_ok_pod = all_ok) (params : Params.t) txn
-    tree =
-  Obs.with_span "encoding.encode_txn" @@ fun () ->
-  encode_cap ~legacy_leaf ~legacy_pod ~srule_ok_leaf ~srule_ok_pod params
-    ~reserve_leaf:(Srule_state.txn_reserve_leaf txn)
-    ~reserve_pod:(Srule_state.txn_reserve_pod txn)
-    tree
-
-let encode ?legacy_leaf ?legacy_pod ?srule_ok_leaf ?srule_ok_pod
-    (params : Params.t) srules tree =
+(* The only external state a group encode consults is switch capacity —
+   everything else is a pure function of (params, tree). Capacity is
+   reserved on the live ledger as Algorithm 1 asks for it; each reservation
+   is logged so that an exception escaping mid-encode (from a caller's
+   eligibility predicate, say) releases them all again: [encode] either
+   returns an encoding that owns its reservations or leaves the ledger as
+   it found it. *)
+let encode ?(legacy_leaf = no_legacy) ?(legacy_pod = no_legacy)
+    ?(srule_ok_leaf = all_ok) ?(srule_ok_pod = all_ok) (params : Params.t)
+    srules tree =
   Obs.with_span "encoding.encode" @@ fun () ->
-  (* The sequential path is the batch protocol at batch size one: encode
-     against a just-taken snapshot, then commit. Nothing can have mutated
-     the ledger in between, so the commit replay cannot diverge. *)
-  let txn = Srule_state.txn (Srule_state.snapshot srules) in
-  let enc =
-    encode_txn ?legacy_leaf ?legacy_pod ?srule_ok_leaf ?srule_ok_pod params txn
-      tree
+  let reserved = ref [] in
+  (* Eligibility is checked before capacity (short-circuit), so a switch
+     the controller has degraded never reserves: its traffic is folded into
+     the default p-rule as if the switch were full. *)
+  let reserve_leaf l =
+    srule_ok_leaf l
+    && Srule_state.leaf_has_space srules l
+    &&
+    (Srule_state.reserve_leaf srules l;
+     reserved := Srule_state.Leaf l :: !reserved;
+     true)
   in
-  (match Srule_state.commit srules txn with
-  | Ok () -> ()
-  | Error _ ->
-      raise (Internal_error "encode: commit of a fresh snapshot diverged"));
-  enc
+  let reserve_pod p =
+    srule_ok_pod p
+    && Srule_state.pod_has_space srules p
+    &&
+    (Srule_state.reserve_pod srules p;
+     reserved := Srule_state.Pod p :: !reserved;
+     true)
+  in
+  match
+    let hmax_spine, hmax_leaf = budgeted_hmax tree.Tree.topo params tree in
+    let d_leaf =
+      with_legacy ~legacy:legacy_leaf ~reserve:reserve_leaf
+        tree.Tree.leaf_bitmaps
+        (Clustering.run ~r:params.r ~semantics:params.r_semantics
+           ~hmax:hmax_leaf ~kmax:params.kmax ~has_srule_space:reserve_leaf)
+    in
+    let d_spine =
+      (* On a two-tier fabric the only spine a packet visits is the
+         sender's, which forwards on the upstream rule — no downstream
+         spine rules are ever consulted. *)
+      if Topology.is_two_tier tree.Tree.topo then
+        { Clustering.prules = []; srules = []; default = None }
+      else
+        with_legacy ~legacy:legacy_pod ~reserve:reserve_pod
+          tree.Tree.spine_bitmaps
+          (Clustering.run ~r:params.r ~semantics:params.r_semantics
+             ~hmax:hmax_spine ~kmax:params.kmax ~has_srule_space:reserve_pod)
+    in
+    let idx_kind, idx_exact, idx_rule, idx_site_bm = build_index d_leaf tree in
+    let scratch_width = Topology.leaf_downstream_width tree.Tree.topo in
+    {
+      tree;
+      params;
+      d_spine;
+      d_leaf;
+      stale = 0;
+      idx_kind;
+      idx_exact;
+      idx_rule;
+      idx_site_bm;
+      scratch_a = Bitmap.create scratch_width;
+      scratch_b = Bitmap.create scratch_width;
+    }
+  with
+  | enc -> enc
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      List.iter
+        (function
+          | Srule_state.Leaf l -> Srule_state.release_leaf srules l
+          | Srule_state.Pod p -> Srule_state.release_pod srules p)
+        !reserved;
+      Printexc.raise_with_backtrace e bt
 
 (* {1 Incremental deltas (§3.3 rule-update locality)}
 

@@ -32,9 +32,9 @@ type t = {
     fresh bitmaps. Treat them as private. *)
 
 exception Internal_error of string
-(** Raised only when an internal invariant is violated (a fresh-snapshot
-    commit diverging, a pre-checked tree delta being rejected). Reaching it
-    indicates a bug in the encoder, never caller error. *)
+(** Raised only when an internal invariant is violated (a pre-checked tree
+    delta being rejected). Reaching it indicates a bug in the encoder, never
+    caller error. *)
 
 val encode :
   ?legacy_leaf:(int -> bool) ->
@@ -44,9 +44,9 @@ val encode :
   Params.t -> Srule_state.t -> Tree.t -> t
 (** Runs Algorithm 1 on both downstream layers, reserving s-rule space in
     the given state as it goes (leaf layer first, as it dominates header
-    usage; then spine). Internally this is {!encode_txn} against a fresh
-    snapshot of [srules] followed by an immediate (infallible) commit, so
-    the sequential and parallel batch paths share every encoding decision.
+    usage; then spine). If anything raises mid-encode, every reservation
+    taken so far is released before the exception propagates: [srules] is
+    changed only by an [encode] that returns.
 
     [legacy_leaf] / [legacy_pod] mark switches that cannot parse Elmo
     headers (§7 incremental deployment): they are excluded from p-rule
@@ -60,23 +60,10 @@ val encode :
     [srule_ok_leaf] / [srule_ok_pod] restrict s-rule {e eligibility}: a
     switch for which the predicate is [false] is treated as if its group
     table were full — its traffic folds into the default p-rule — without
-    ever probing (or reserving) ledger capacity. The controller uses these
+    ever reserving ledger capacity. The controller uses these
     to degrade switches whose rule installations keep failing: extra
     traffic via the default p-rule, but no dependence on unreachable
     switch state. Default: every switch is eligible. *)
-
-val encode_txn :
-  ?legacy_leaf:(int -> bool) ->
-  ?legacy_pod:(int -> bool) ->
-  ?srule_ok_leaf:(int -> bool) ->
-  ?srule_ok_pod:(int -> bool) ->
-  Params.t -> Srule_state.txn -> Tree.t -> t
-(** Like {!encode} but pure with respect to the shared ledger: capacity is
-    probed and reserved on the transaction only, so any number of group
-    encodes can run concurrently against transactions over one snapshot.
-    The caller must later {!Srule_state.commit} the transaction — in batch
-    order — and on [Error _] discard this encoding and re-run {!encode}
-    against the live ledger. *)
 
 (** {1 Incremental deltas}
 

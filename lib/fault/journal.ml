@@ -10,39 +10,6 @@ type op =
   | Fail_link of { leaf : int; plane : int }
   | Recover_link of { leaf : int; plane : int }
 
-(* An op tagged with the pods whose shard state it can touch, computed by
-   the writer against the pre-op controller state ([None] = global: the op
-   can touch every shard). The tags drive shard-scoped recovery
-   ([Replica.recover_shard]): an untagged journal degrades gracefully —
-   every op is treated as global and shard recovery becomes full
-   recovery. *)
-type entry = { e_op : op; e_pods : int list option }
-
-type t = {
-  mutable entries : entry list;  (* newest first *)
-  mutable n : int;
-  observer : (op -> unit) option;
-}
-
-let create ?observer () = { entries = []; n = 0; observer }
-
-let append ?pods t op =
-  t.entries <- { e_op = op; e_pods = pods } :: t.entries;
-  t.n <- t.n + 1;
-  match t.observer with None -> () | Some f -> f op
-
-let length t = t.n
-let entries t = List.rev t.entries
-let to_list t = List.rev_map (fun e -> e.e_op) t.entries
-
-let suffix_entries t ~from =
-  let rec drop k l =
-    if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
-  in
-  drop from (entries t)
-
-let suffix t ~from = List.map (fun e -> e.e_op) (suffix_entries t ~from)
-
 let apply ctrl op =
   match op with
   | Add_group { group; members } ->
@@ -189,21 +156,6 @@ let read_op ~topo r =
       let leaf, plane = link r in
       Recover_link { leaf; plane }
   | _ -> raise Byteio.Reader.Corrupt
-
-let write_entry w e =
-  write_op w e.e_op;
-  Byteio.Writer.option w (fun w -> Byteio.Writer.list w Byteio.Writer.int) e.e_pods
-
-let read_entry ~topo r =
-  let e_op = read_op ~topo r in
-  let e_pods =
-    Byteio.Reader.option r (fun rd ->
-        Byteio.Reader.list rd (fun rd ->
-            let p = Byteio.Reader.int rd in
-            Byteio.Reader.check (0 <= p && p < topo.Topology.pods);
-            p))
-  in
-  { e_op; e_pods }
 
 let pp_op ppf = function
   | Add_group { group; members } ->

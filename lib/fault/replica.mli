@@ -1,15 +1,15 @@
-(** Crash-consistent controller replica: snapshot + journal-suffix replay.
+(** Crash-consistent controller replica: a live {!Controller.t} whose
+    mutations are journaled to a {!Wire} log.
 
-    Couples a live {!Controller.t} with an append-only {!Journal} and a
-    rolling {!Controller.snapshot}. Every mutation goes through {!apply},
-    which journals the op before executing it and takes a fresh checkpoint
-    every [snapshot_every] ops. {!crash} simulates a controller process
-    crash: the live controller is discarded and rebuilt from the latest
-    snapshot plus replay of the journal suffix. Because the controller is
-    deterministic in its op order, the recovered instance is bit-identical
-    (s-rule occupancy, per-group headers, churn counters) to one that never
-    crashed — the property the crash-recovery test asserts across
-    randomized crash points.
+    Every mutation goes through {!apply}, which appends the op record
+    before executing it (write-ahead) and appends a fresh snapshot record
+    every [snapshot_every] ops. The wire bytes are the only journal and
+    snapshot store: a crashed controller is rebuilt by {!Wire.load} +
+    {!of_wire} — restore the newest decodable snapshot, replay the op
+    suffix. Because the controller is deterministic in its op order, the
+    recovered instance is bit-identical (s-rule occupancy, per-group
+    headers, churn counters) to one that never crashed — the property the
+    crash-recovery tests assert across randomized crash points.
 
     Restoration itself does not touch the fabric ({!Controller.restore}
     re-emits nothing — switch state survives a controller crash); only the
@@ -30,8 +30,9 @@ val create :
     [durable] (default [false]) attaches a {!Wire.t} log: a genesis
     snapshot is written at epoch 0, every {!apply} appends the op record
     {e before} executing it (write-ahead), and every checkpoint appends a
-    snapshot record. [observer] taps the underlying journal (see
-    {!Journal.create}) — the telemetry flight recorder attaches here. *)
+    snapshot record. Without it the replica keeps no recovery state.
+    [observer] is called with every op right before it is executed — the
+    tap the telemetry flight recorder rides on. *)
 
 val of_wire :
   ?snapshot_every:int ->
@@ -41,16 +42,15 @@ val of_wire :
   Wire.loaded ->
   (t, string) result
 (** Rebuild a durable replica from a loaded wire log: restore the chosen
-    snapshot, replay the suffix (each op passes through the new journal
-    first, so [observer] sees every replayed op), and seed a {e fresh}
-    wire with the post-replay snapshot — the corrupt bytes are never
-    appended to. [epoch] (default: the log's highest epoch) stamps the
-    new log; a failover supervisor passes its bumped fencing epoch.
-    [Error] when the log has no decodable snapshot, [epoch] regresses
-    below the log's, or replay itself fails — never an exception. *)
+    snapshot, replay the suffix ([observer] sees every replayed op), and
+    seed a {e fresh} wire with the post-replay snapshot — the corrupt bytes
+    are never appended to. [epoch] (default: the log's highest epoch)
+    stamps the new log; a failover supervisor passes its bumped fencing
+    epoch. [Error] when the log has no decodable snapshot, [epoch]
+    regresses below the log's, or replay itself fails — never an
+    exception. *)
 
 val controller : t -> Controller.t
-val journal : t -> Journal.t
 
 val wire : t -> Wire.t option
 (** The attached durable log, when [durable] (or {!of_wire}) created one. *)
@@ -63,34 +63,12 @@ val set_epoch : t -> int -> unit
     regression). *)
 
 val apply : t -> Journal.op -> unit
-(** Journal (tagged with the pods the op can touch, computed against the
-    pre-op state), execute, auto-checkpoint. *)
+(** Notify the observer, journal (durable replicas), execute,
+    auto-checkpoint. *)
 
 val checkpoint : t -> unit
-(** Force a checkpoint at the current journal position. *)
-
-val recovered : t -> Controller.t
-(** A fresh controller rebuilt from the latest snapshot + journal suffix;
-    the live controller is untouched (use this to {e compare} recovery
-    against the never-crashed instance). *)
-
-val recover_shard : t -> pod:int -> Controller.t
-(** Shard-scoped recovery: rebuild from the latest snapshot, replaying
-    only the journal-suffix ops whose pod tags are {e transitively
-    connected} to [pod] (ops sharing a pod chain into one component) plus
-    every global op. For groups whose members stay inside that component
-    the result is bit-identical to {!recovered} — skipped ops touch only
-    disjoint pods, which the per-pod commit confinement keeps invisible —
-    while replaying a fraction of the suffix after localized churn.
-    Out-of-component groups and global counters may differ. *)
-
-val crash : t -> unit
-(** Replace the live controller with {!recovered} — the crash itself. *)
+(** Force a checkpoint: on a durable replica, append a snapshot record of
+    the current state. *)
 
 val installed_config : t -> Installed_config.t
-(** The live controller's {!Installed_config.t} view (for symbolic
-    equivalence checks against {!recovered}). *)
-
-val checkpoint_config : t -> Installed_config.t
-(** The installed-configuration view of the {e latest checkpoint} — built
-    straight from the snapshot, without restoring a controller. *)
+(** The live controller's {!Installed_config.t} view. *)

@@ -5,8 +5,12 @@
    collision — which the matrix test's bit-flip arm measures, not
    assumes). *)
 
-let magic = "ELMOWAL1"
+(* The trailing digit is the format version: bump it whenever a snapshot
+   or op payload changes shape, so an older log is refused up front instead
+   of failing to decode partway through. *)
+let magic = "ELMOWAL2"
 let magic_len = 8
+let magic_family = "ELMOWAL"
 let prefix_len = 8 (* len + crc *)
 let covered_len = 13 (* kind + epoch + seq *)
 let header_len = prefix_len + covered_len
@@ -46,9 +50,9 @@ let append_record t ~kind ~epoch payload =
   t.last_epoch <- epoch;
   t.nrecords <- t.nrecords + 1
 
-let append_op t ~epoch entry =
+let append_op t ~epoch op =
   let w = Byteio.Writer.create () in
-  Journal.write_entry w entry;
+  Journal.write_op w op;
   append_record t ~kind:kind_op ~epoch (Byteio.Writer.to_bytes w)
 
 let append_snapshot t ~epoch snap =
@@ -76,7 +80,7 @@ type loaded = {
   l_snapshot : Controller.snapshot option;
   l_snapshot_epoch : int;
   l_replay_base_ops : int;
-  l_suffix : Journal.entry list;
+  l_suffix : Journal.op list;
   l_epoch : int;
   l_records : record list;
   l_truncated_at : int option;
@@ -159,18 +163,24 @@ let decode_snapshot data r =
 let decode_op ~topo data r =
   match
     let rd = payload_reader data r in
-    let e = Journal.read_entry ~topo rd in
+    let op = Journal.read_op ~topo rd in
     Byteio.Reader.check (Byteio.Reader.remaining rd = 0);
-    e
+    op
   with
-  | e -> Some e
+  | op -> Some op
   | exception _ -> None
 
 let load data =
-  if
-    Bytes.length data < magic_len
-    || not (String.equal (Bytes.sub_string data 0 magic_len) magic)
-  then Error "bad magic: not a wire log"
+  let head = Bytes.sub_string data 0 (min magic_len (Bytes.length data)) in
+  if not (String.equal head magic) then
+    if
+      String.length head = magic_len
+      && String.starts_with ~prefix:magic_family head
+    then
+      Error
+        (Printf.sprintf "bad magic: wire format version %s, expected %s" head
+           magic)
+    else Error "bad magic: not a wire log"
   else
     let records, truncated_at, max_epoch = scan data in
     (* Newest decodable snapshot wins; corrupt candidates are fallback
@@ -213,7 +223,7 @@ let load data =
               if r.r_seq < snap_rec.r_seq then incr base
               else if !replaying then
                 match decode_op ~topo data r with
-                | Some e -> suffix := e :: !suffix
+                | Some op -> suffix := op :: !suffix
                 | None ->
                     (* A framed-but-undecodable op after the snapshot:
                        everything from here on is suspect — truncate. *)

@@ -1,8 +1,10 @@
 (** Durable byte-level wire format for journals and snapshots.
 
     A wire log is the crash-safe persistent form of a {!Replica}: an
-    8-byte magic ["ELMOWAL1"] followed by length-prefixed records, each
-    carrying a CRC32 and a monotonic epoch/seq header.
+    8-byte magic ["ELMOWAL2"] (the last character is the format version)
+    followed by length-prefixed records, each carrying a CRC32 and a
+    monotonic epoch/seq header. It is also the only journal and snapshot
+    store: recovery is {!load} followed by {!Replica.of_wire}.
 
     Record layout (all integers little-endian):
     {v
@@ -31,7 +33,7 @@ type t
 val create : unit -> t
 (** An empty log: magic only, next seq 0. *)
 
-val append_op : t -> epoch:int -> Journal.entry -> unit
+val append_op : t -> epoch:int -> Journal.op -> unit
 val append_snapshot : t -> epoch:int -> Controller.snapshot -> unit
 (** Append one record. Epochs must be non-decreasing across appends and
     [0 <= epoch < 2^32]; raises [Invalid_argument] otherwise. *)
@@ -66,9 +68,9 @@ type loaded = {
   l_replay_base_ops : int;
       (** structurally valid op records {e before} the chosen snapshot —
           ops its state already includes *)
-  l_suffix : Journal.entry list;
-      (** decoded op entries after the chosen snapshot, in order — the
-          replay suffix *)
+  l_suffix : Journal.op list;
+      (** decoded ops after the chosen snapshot, in order — the replay
+          suffix *)
   l_epoch : int;  (** highest epoch among accepted records *)
   l_records : record list;
       (** every structurally accepted record, in order *)
@@ -82,8 +84,9 @@ type loaded = {
 }
 
 val load : bytes -> (loaded, string) result
-(** Total over arbitrary input: [Error] only when the magic is missing
-    (the bytes are not a wire log at all); every other corruption is
+(** Total over arbitrary input: [Error] only when the magic is missing or
+    names another format version (a log written before the current record
+    payloads, refused whole rather than misread); every other corruption is
     expressed through truncation/fallback in the result. *)
 
 val pp_loaded : Format.formatter -> loaded -> unit

@@ -18,21 +18,6 @@ val with_span : ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
 
 val incr : ?n:int -> string -> unit
 
-val incr_indexed : ?n:int -> string -> int -> unit
-(** [incr_indexed name i] bumps the counter ["<name>.<i>"] — the idiom for
-    per-shard or per-domain counter families (e.g. ["shard.committed.3"]).
-    The composed name is only allocated when metrics are on. *)
-
 val observe : string -> float -> unit
 val gauge : string -> float -> unit
 val instant : ?attrs:(string * attr) list -> string -> unit
-
-val worker_hooks : unit -> (int -> unit) * (unit -> unit)
-(** Alias of {!Ctx.worker_hooks}, for [Domain_pool.create]'s
-    [?worker_init]/[?worker_exit]. *)
-
-val pool_probe : unit -> Domain_pool.probe option
-(** Chunk queue/run-time probe for [Domain_pool.map], recording per-domain
-    ["domain_pool.d<i>.chunk_{queue,run}_us"] histograms. [None] unless
-    metrics are on {e and} the clock is monotonic — queue latency spans two
-    domains, which logical ticks cannot measure deterministically. *)

@@ -1,7 +1,6 @@
 type t = {
   git_rev : string;
   cores : int;
-  domains : int;
   seed : int option;
   params : string option;
   clock : string;
@@ -14,11 +13,10 @@ let git_rev () =
     match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown"
   with Unix.Unix_error _ | Sys_error _ -> "unknown"
 
-let capture ?seed ?params ?(domains = 1) () =
+let capture ?seed ?params () =
   {
     git_rev = git_rev ();
     cores = Domain.recommended_domain_count ();
-    domains;
     seed;
     params;
     clock = Clock.kind_to_string (Clock.kind_of_env ());
@@ -26,15 +24,14 @@ let capture ?seed ?params ?(domains = 1) () =
 
 let to_json t =
   Printf.sprintf
-    "{\"git_rev\":%s,\"cores\":%d,\"domains\":%d,\"seed\":%s,\"params\":%s,\"clock\":%s}"
-    (Jsonx.string t.git_rev) t.cores t.domains
+    "{\"git_rev\":%s,\"cores\":%d,\"seed\":%s,\"params\":%s,\"clock\":%s}"
+    (Jsonx.string t.git_rev) t.cores
     (match t.seed with Some s -> string_of_int s | None -> "null")
     (match t.params with Some p -> Jsonx.string p | None -> "null")
     (Jsonx.string t.clock)
 
 let pp ppf t =
-  Format.fprintf ppf "rev=%s cores=%d domains=%d%s%s clock=%s" t.git_rev
-    t.cores t.domains
+  Format.fprintf ppf "rev=%s cores=%d%s%s clock=%s" t.git_rev t.cores
     (match t.seed with Some s -> Printf.sprintf " seed=%d" s | None -> "")
     (match t.params with Some p -> " params=[" ^ p ^ "]" | None -> "")
     t.clock

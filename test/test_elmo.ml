@@ -20,8 +20,6 @@ let () =
       ("codec", Test_codec.tests);
       ("traffic-fabric", Test_traffic_fabric.tests);
       ("controller", Test_controller.tests);
-      ("parallel", Test_parallel.tests);
-      ("shard", Test_shard.tests);
       ("incremental", Test_incremental.tests);
       ("zero-alloc", Test_zero_alloc.tests);
       ("baselines", Test_baselines.tests);

@@ -100,6 +100,26 @@ let test_srule_accounting_and_release () =
   Encoding.release srules enc;
   Alcotest.(check int) "released" 0 (Srule_state.total_srules srules)
 
+(* The spine layer is encoded after the leaf layer has reserved its three
+   s-rules; an exception escaping from there must take those reservations
+   with it. *)
+let test_encode_raise_leaves_ledger_untouched () =
+  let params = Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None () in
+  let srules = Srule_state.create topo ~fmax:10 in
+  let leaf_probes = ref 0 in
+  let srule_ok_leaf _ = incr leaf_probes; true in
+  let srule_ok_pod _ = raise Exit in
+  Alcotest.check_raises "eligibility exception propagates" Exit (fun () ->
+      ignore
+        (Encoding.encode ~srule_ok_leaf ~srule_ok_pod params srules fig3_tree));
+  Alcotest.(check bool) "leaf s-rules were reserved first" true (!leaf_probes >= 3);
+  Alcotest.(check int) "no s-rule left behind" 0 (Srule_state.total_srules srules);
+  Alcotest.(check bool) "ledger invariants" true (Srule_state.check srules);
+  (* The ledger is as good as new: the same encode now succeeds. *)
+  let enc = Encoding.encode params srules fig3_tree in
+  Alcotest.(check int) "clean re-encode" (Encoding.srule_entries enc)
+    (Srule_state.total_srules srules)
+
 let test_budgeted_hmax_grows_spine_budget () =
   (* With the byte budget, a 3-pod tree gets >=3 spine rules, so no spill. *)
   let params = Params.create ~header_budget:(Some 325) () in
@@ -189,6 +209,8 @@ let tests =
     Alcotest.test_case "covered flags" `Quick test_covered_flags;
     Alcotest.test_case "s-rule accounting and release" `Quick
       test_srule_accounting_and_release;
+    Alcotest.test_case "encode raise leaves ledger untouched" `Quick
+      test_encode_raise_leaves_ledger_untouched;
     Alcotest.test_case "budget grows spine allowance" `Quick
       test_budgeted_hmax_grows_spine_budget;
     Alcotest.test_case "byte budget respected on fabric" `Quick

@@ -11,7 +11,6 @@ let small_config ?(strategy = Vm_placement.Pack_up_to 12) ?(dist = Group_dist.Wv
     dist;
     params = Params.create ~fmax:50 ();
     seed = 7;
-    domains = 1;
   }
 
 let test_scalability_shapes () =
@@ -68,7 +67,6 @@ let test_control_plane_shapes () =
       events_per_second = 1_000.0;
       failure_trials = 3;
       seed = 11;
-      domains = 1;
     }
   in
   let r = Control_plane.run cfg in

@@ -41,10 +41,6 @@ let test_logical_clock () =
   (match Clock.kind c with
   | Clock.Logical -> ()
   | Clock.Monotonic -> Alcotest.fail "logical clock reports Monotonic");
-  (* A shard restarts at tick 0 and leaves the parent's counter alone. *)
-  let s = Clock.shard c in
-  Alcotest.check feq "shard tick 1" 1.0 (Clock.now_us s);
-  Alcotest.check feq "parent tick 3" 3.0 (Clock.now_us c);
   List.iter
     (fun (s, k) ->
       match (Clock.kind_of_string s, k) with
@@ -94,30 +90,6 @@ let test_metrics_registry () =
   Alcotest.(check bool)
     "json object" true
     (String.length json > 2 && json.[0] = '{')
-
-let test_metrics_shard_merge () =
-  let parent = Metrics.create () in
-  Metrics.incr parent ~n:10 "n";
-  Metrics.observe parent "h" 4.0;
-  let s1 = Metrics.shard parent in
-  let s2 = Metrics.shard parent in
-  Metrics.incr s1 ~n:3 "n";
-  Metrics.incr s2 ~n:4 "n";
-  Metrics.observe s1 "h" 16.0;
-  Metrics.gauge s2 "g" 7.0;
-  (* Live shards are already visible in the merged dump... *)
-  Alcotest.(check int) "merged view" 17 (counter parent "n");
-  (* ...and join folds them in permanently, in either order. *)
-  Metrics.join parent s2;
-  Metrics.join parent s1;
-  Alcotest.(check int) "joined counter" 17 (counter parent "n");
-  let h = hist parent "h" in
-  Alcotest.(check int) "joined hist count" 2 h.Metrics.count;
-  Alcotest.check feq "joined hist sum" 20.0 h.Metrics.sum;
-  Alcotest.check feq "joined hist max" 16.0 h.Metrics.max;
-  (match List.assoc_opt "g" (Metrics.dump parent) with
-  | Some (Metrics.Gauge g) -> Alcotest.check feq "shard gauge" 7.0 g
-  | _ -> Alcotest.fail "gauge lost in join")
 
 (* {1 Bucket boundaries and Prometheus exposition} *)
 
@@ -292,7 +264,7 @@ let test_results_identical_with_obs () =
   Alcotest.(check (pair (list int) (list int)))
     "occupancy identical with observability on" plain traced;
   Alcotest.(check bool) "metrics recorded" true
-    (counter m "srule.commits" > 0)
+    ((hist m "span.encoding.encode_us").Metrics.count > 0)
 
 (* {1 Controller churn accounting} *)
 
@@ -382,38 +354,10 @@ let test_churn_stats_reconcile () =
       Alcotest.(check int) "per-site fast-path split sums" stats.Controller.fast_path
         fast_sites)
 
-(* {1 Worker-domain metric shards} *)
-
-let test_worker_hooks_merge () =
-  let topo = small_topo () in
-  let params = Params.create ~fmax:64 () in
-  let m = Metrics.create () in
-  let batch =
-    List.init 8 (fun g ->
-        (g, [ (g, Controller.Both); ((g + 5) mod 16, Controller.Receiver) ]))
-  in
-  let occ =
-    with_ctx ~metrics:m (fun () ->
-        let ctrl = Controller.create topo params in
-        ignore (Controller.install_all ~domains:2 ctrl batch);
-        Array.to_list (Srule_state.leaf_occupancy (Controller.srule_state ctrl)))
-  in
-  let plain =
-    let ctrl = Controller.create topo params in
-    ignore (Controller.install_all ~domains:2 ctrl batch);
-    Array.to_list (Srule_state.leaf_occupancy (Controller.srule_state ctrl))
-  in
-  Alcotest.(check (list int)) "parallel occupancy identical" plain occ;
-  (* Shards recorded on worker domains were joined back: the per-group
-     encode spans all landed somewhere in the merged registry. *)
-  let h = hist m "span.encoding.encode_txn_us" in
-  Alcotest.(check int) "worker spans merged" 8 h.Metrics.count
-
 (* {1 Provenance} *)
 
 let test_provenance () =
-  let p = Provenance.capture ~seed:7 ~params:"R=12" ~domains:3 () in
-  Alcotest.(check int) "domains" 3 p.Provenance.domains;
+  let p = Provenance.capture ~seed:7 ~params:"R=12" () in
   Alcotest.(check (option int)) "seed" (Some 7) p.Provenance.seed;
   let json = Provenance.to_json p in
   List.iter
@@ -421,7 +365,7 @@ let test_provenance () =
       Alcotest.(check bool) (affix ^ " present") true
         (Astring.String.is_infix ~affix json))
     [
-      {|"git_rev":|}; {|"cores":|}; {|"domains":3|}; {|"seed":7|};
+      {|"git_rev":|}; {|"cores":|}; {|"seed":7|};
       {|"params":"R=12"|}; {|"clock":|};
     ];
   let bare = Provenance.capture () in
@@ -432,7 +376,6 @@ let tests =
   [
     Alcotest.test_case "logical clock" `Quick test_logical_clock;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
-    Alcotest.test_case "metrics shard merge" `Quick test_metrics_shard_merge;
     Alcotest.test_case "dump_buckets boundaries" `Quick test_dump_buckets;
     Alcotest.test_case "prometheus exposition" `Quick test_expose;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
@@ -441,6 +384,5 @@ let tests =
     Alcotest.test_case "results identical with obs" `Quick
       test_results_identical_with_obs;
     Alcotest.test_case "churn stats reconcile" `Quick test_churn_stats_reconcile;
-    Alcotest.test_case "worker hooks merge" `Quick test_worker_hooks_merge;
     Alcotest.test_case "provenance" `Quick test_provenance;
   ]

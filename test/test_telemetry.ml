@@ -280,24 +280,26 @@ let test_disabled_equivalence () =
 
 (* {1 Flight recorder} *)
 
-let journal_ops n =
-  List.init n (fun i ->
-      if i mod 3 = 0 then
-        Journal.Join { group = i mod 5; host = i; role = Controller.Receiver }
-      else if i mod 3 = 1 then Journal.Leave { group = i mod 5; host = i - 1 }
-      else Journal.Add_group { group = 100 + i; members = [] })
+(* Twenty valid controller ops: five empty groups, then alternating joins
+   and leaves of the host just joined. *)
+let journal_ops () =
+  List.init 5 (fun g -> Journal.Add_group { group = g; members = [] })
+  @ List.init 15 (fun i ->
+        if i mod 2 = 0 then
+          Journal.Join { group = i mod 5; host = i; role = Controller.Receiver }
+        else Journal.Leave { group = (i - 1) mod 5; host = i - 1 })
 
 let test_flight_ring_matches_journal () =
   let fr = Flight_recorder.create ~capacity:8 () in
-  let j = Journal.create ~observer:(Flight_recorder.observer fr) () in
-  let ops = journal_ops 20 in
-  List.iter (Journal.append j) ops;
+  let replica =
+    Replica.create ~observer:(Flight_recorder.observer fr)
+      (Topology.running_example ()) Params.default
+  in
+  let ops = journal_ops () in
+  List.iter (Replica.apply replica) ops;
   Alcotest.(check int) "all recorded" 20 (Flight_recorder.recorded fr);
   Alcotest.(check int) "capacity" 8 (Flight_recorder.capacity fr);
-  let tail_of_journal =
-    let all = Journal.to_list j in
-    List.filteri (fun i _ -> i >= List.length all - 8) all
-  in
+  let tail_of_journal = List.filteri (fun i _ -> i >= List.length ops - 8) ops in
   let retained =
     List.map
       (function
@@ -330,7 +332,7 @@ let test_flight_ring_matches_journal () =
 
 let test_flight_dump () =
   let fr = Flight_recorder.create ~capacity:4 () in
-  List.iter (Flight_recorder.record_op fr) (journal_ops 6);
+  List.iter (Flight_recorder.record_op fr) (List.filteri (fun i _ -> i < 6) (journal_ops ()));
   Flight_recorder.note fr "blackhole" ~a:3 ~b:9;
   let json = Flight_recorder.dump ~reason:"test" fr in
   List.iter
@@ -393,6 +395,33 @@ let test_report_run () =
   let res2 = Report.run ~flight:(Flight_recorder.create ()) (small_cfg ()) in
   Alcotest.(check bool) "deterministic exact counts" true
     (res.Report.exact = res2.Report.exact)
+
+(* A [heavy] label is a promise: the group's exact bytes clear the
+   heavy-hitter threshold [total/k]. At this seed the top entries include
+   both kinds. *)
+let test_report_heavy_labels () =
+  let cfg = { (small_cfg ()) with Report.packets = 1000 } in
+  let res = Report.run ~flight:(Flight_recorder.create ()) cfg in
+  let total = Sketch.total (Recorder.sketch res.Report.recorder) in
+  let es = Report.elephants res ~n:10 in
+  List.iter
+    (fun (e : Report.elephant) ->
+      if e.Report.guaranteed then
+        Alcotest.(check bool)
+          (Printf.sprintf "group %d labelled heavy is heavy" e.Report.eg)
+          true
+          (e.Report.exact_bytes * cfg.Report.k >= total))
+    es;
+  Alcotest.(check bool) "some entry is guaranteed heavy" true
+    (List.exists (fun (e : Report.elephant) -> e.Report.guaranteed) es);
+  Alcotest.(check bool) "some entry is only a candidate" true
+    (List.exists (fun (e : Report.elephant) -> not e.Report.guaranteed) es);
+  let out = Format.asprintf "%a" Report.pp res in
+  List.iter
+    (fun affix ->
+      Alcotest.(check bool) (affix ^ " label printed") true
+        (Astring.String.is_infix ~affix out))
+    [ "heavy"; "candidate" ]
 
 let test_report_watermark_notes () =
   (* A tiny threshold forces crossings; each drained crossing lands as a
@@ -477,6 +506,7 @@ let tests =
       test_flight_ring_matches_journal;
     Alcotest.test_case "flight dump" `Quick test_flight_dump;
     Alcotest.test_case "report run" `Quick test_report_run;
+    Alcotest.test_case "report heavy labels" `Quick test_report_heavy_labels;
     Alcotest.test_case "report watermark notes" `Quick
       test_report_watermark_notes;
     Alcotest.test_case "sketch update zero-alloc" `Quick

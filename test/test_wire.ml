@@ -17,7 +17,7 @@ let wide_hosts =
 
 let members_both hosts = List.map (fun x -> (x, Controller.Both)) hosts
 
-(* {1 Record / entry codec} *)
+(* {1 Op record codec} *)
 
 let all_ops =
   [
@@ -37,32 +37,22 @@ let all_ops =
 let test_entry_codec_round_trip () =
   List.iteri
     (fun i op ->
-      List.iter
-        (fun pods ->
-          let e = { Journal.e_op = op; e_pods = pods } in
-          let w = Byteio.Writer.create () in
-          Journal.write_entry w e;
-          let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
-          let e' = Journal.read_entry ~topo r in
-          Alcotest.(check bool)
-            (Printf.sprintf "op %d round-trips" i)
-            true (e = e');
-          Alcotest.(check int) "fully consumed" 0 (Byteio.Reader.remaining r))
-        [ None; Some []; Some [ 0; 2 ] ])
+      let w = Byteio.Writer.create () in
+      Journal.write_op w op;
+      let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
+      let op' = Journal.read_op ~topo r in
+      Alcotest.(check bool) (Printf.sprintf "op %d round-trips" i) true (op = op');
+      Alcotest.(check int) "fully consumed" 0 (Byteio.Reader.remaining r))
     all_ops
 
 let test_entry_codec_rejects_out_of_range () =
-  (* A structurally intact entry whose ids exceed the topology must be
+  (* A structurally intact op whose ids exceed the topology must be
      rejected at decode time, not blow up controller replay later. *)
   let w = Byteio.Writer.create () in
-  Journal.write_entry w
-    {
-      Journal.e_op = Journal.Fail_spine (Topology.num_spines topo + 3);
-      e_pods = None;
-    };
+  Journal.write_op w (Journal.Fail_spine (Topology.num_spines topo + 3));
   let r = Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w) in
   Alcotest.check_raises "spine id out of range" Byteio.Reader.Corrupt
-    (fun () -> ignore (Journal.read_entry ~topo r))
+    (fun () -> ignore (Journal.read_op ~topo r))
 
 (* {1 Snapshot codec} *)
 
@@ -136,7 +126,7 @@ let test_empty_log () =
       Alcotest.(check bool) "no truncation" true (l.Wire.l_truncated_at = None)
 
 let test_bad_magic () =
-  (match Wire.load (Bytes.of_string "ELMOWAL2") with
+  (match Wire.load (Bytes.of_string "ELMOWAL0") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong magic accepted");
   (match Wire.load (Bytes.of_string "ELMO") with
@@ -145,6 +135,30 @@ let test_bad_magic () =
   match Wire.load (Wire.flip_bit (Wire.contents (Wire.create ())) 3) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "flipped magic accepted"
+
+(* A log in the previous format version (whose snapshot and op payloads
+   carried fields this version dropped) is refused whole by its magic, not
+   misread as corruption partway through replay. *)
+let test_old_version_refused () =
+  let fabric = Fabric.create topo in
+  let primary =
+    Replica.create ~fabric_hooks:(Fabric.controller_hooks_at fabric ~epoch:0)
+      ~durable:true topo tight_params
+  in
+  Replica.apply primary
+    (Journal.Add_group { group = 0; members = members_both wide_hosts });
+  let bytes = Wire.contents (Option.get (Replica.wire primary)) in
+  Bytes.blit_string "ELMOWAL1" 0 bytes 0 8;
+  (match Wire.load bytes with
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "version mismatch reported as bad magic (%s)" e)
+        true
+        (String.starts_with ~prefix:"bad magic" e)
+  | Ok _ -> Alcotest.fail "ELMOWAL1 log accepted");
+  match Supervisor.failover ~fabric bytes with
+  | Ok _ -> Alcotest.fail "failover recovered from an ELMOWAL1 log"
+  | Error (_ : string) -> ()
 
 let test_snapshot_only_load () =
   (* A durable replica's genesis log: one snapshot, no ops. *)
@@ -783,6 +797,8 @@ let tests =
       test_snapshot_codec_rejects_bit_flips;
     Alcotest.test_case "empty log" `Quick test_empty_log;
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
+    Alcotest.test_case "old format version refused" `Quick
+      test_old_version_refused;
     Alcotest.test_case "snapshot-only load" `Quick test_snapshot_only_load;
     Alcotest.test_case "truncation at record boundary" `Quick
       test_truncation_at_record_boundary;
