@@ -316,3 +316,214 @@ let tests =
       Alcotest.test_case "trace matches report" `Quick test_trace_matches_report;
       Alcotest.test_case "trace header monotone" `Quick test_trace_header_monotone;
     ]
+
+(* {1 Golden pin: the packet-level data plane}
+
+   Seeded (group, sender) batches on the running example and the Facebook
+   fabric, reduced to one digest over every field of [Fabric.inject]'s
+   report: the sorted deliveries, transmissions, header bytes, losses, and
+   each trace hop's endpoints and header size. The batches cover p-rules
+   only, s-rules with defaults under a tight table, failed links, spines
+   and cores, explicit (non-multipath) upstream ports, and legacy leaves
+   and spines, so any change to forwarding or to the per-hop header size
+   moves the digest. *)
+
+type pin_mode = Plain | Tight | Failures | Explicit_up | Legacy
+
+let pin_modes =
+  [
+    ("plain", Plain);
+    ("tight", Tight);
+    ("failures", Failures);
+    ("explicit-up", Explicit_up);
+    ("legacy", Legacy);
+  ]
+
+(* Members clustered on a few leaves of one to three pods, so batches mix
+   single-leaf, shared-leaf and cross-pod groups. *)
+let pin_members rng t =
+  let lpp = t.Topology.leaves_per_pod and hpl = t.Topology.hosts_per_leaf in
+  let pods = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng t.Topology.pods) in
+  let leaves_per_pod = min lpp 6 in
+  List.init (2 + Rng.int rng 30) (fun _ ->
+      let pod = Rng.choice rng pods in
+      let leaf = (pod * lpp) + Rng.int rng leaves_per_pod in
+      (leaf * hpl) + Rng.int rng hpl)
+  |> List.sort_uniq Int.compare
+
+let pin_node b = function
+  | Fabric.Host_node h -> Printf.bprintf b "h%d" h
+  | Fabric.Leaf_node l -> Printf.bprintf b "l%d" l
+  | Fabric.Spine_node s -> Printf.bprintf b "s%d" s
+  | Fabric.Core_node c -> Printf.bprintf b "c%d" c
+
+let pin_report b (r : Fabric.report) =
+  List.iter (fun (h, n) -> Printf.bprintf b "%d*%d," h n) r.Fabric.delivered;
+  Printf.bprintf b "|%d|%d|%d|" r.Fabric.transmissions r.Fabric.header_bytes
+    r.Fabric.lost;
+  List.iter
+    (fun hop ->
+      pin_node b hop.Fabric.hop_from;
+      Buffer.add_char b '>';
+      pin_node b hop.Fabric.hop_to;
+      Printf.bprintf b ":%d;" hop.Fabric.hop_header_bytes)
+    r.Fabric.trace;
+  Buffer.add_char b '\n'
+
+(* Random explicit up-port bitmap (at least one port) of the given width. *)
+let pin_up rng width =
+  let bm = Bitmap.create width in
+  Bitmap.set bm (Rng.int rng width);
+  if width > 1 && Rng.bool rng then Bitmap.set bm (Rng.int rng width);
+  bm
+
+let pin_digest t mode seed =
+  let rng = Rng.create seed in
+  let fabric = Fabric.create t in
+  let legacy_leaf = Array.make (Topology.num_leaves t) false in
+  let legacy_pod = Array.make t.Topology.pods false in
+  if mode = Legacy then begin
+    for _ = 1 to max 1 (Topology.num_leaves t / 8) do
+      legacy_leaf.(Rng.int rng (Topology.num_leaves t)) <- true
+    done;
+    legacy_pod.(Rng.int rng t.Topology.pods) <- true;
+    Array.iteri (fun l v -> Fabric.set_leaf_legacy fabric l v) legacy_leaf;
+    Array.iteri
+      (fun p v ->
+        if v then
+          (* One plane of the pod only: the other spines still parse. *)
+          Fabric.set_spine_legacy fabric (p * t.Topology.spines_per_pod) true)
+      legacy_pod
+  end;
+  let params, fmax =
+    match mode with
+    | Tight -> (Params.create ~hmax_leaf:1 ~hmax_spine:1 ~header_budget:None (), 3)
+    | Plain | Failures | Explicit_up | Legacy ->
+        (Params.create ~r:4 ~header_budget:None (), Params.default.Params.fmax)
+  in
+  let srules = Srule_state.create t ~fmax in
+  let groups =
+    List.init 24 (fun i ->
+        let members = pin_members rng t in
+        let tree = Tree.of_members t members in
+        let enc =
+          Encoding.encode
+            ~legacy_leaf:(fun l -> legacy_leaf.(l))
+            ~legacy_pod:(fun p -> legacy_pod.(p))
+            params srules tree
+        in
+        Fabric.install_encoding fabric ~group:(i + 1) enc;
+        (i + 1, members, enc))
+  in
+  if mode = Failures then begin
+    for _ = 1 to 4 do
+      Fabric.fail_link fabric
+        ~leaf:(Rng.int rng (Topology.num_leaves t))
+        ~plane:(Rng.int rng t.Topology.spines_per_pod)
+    done;
+    Fabric.fail_spine fabric (Rng.int rng (Topology.num_spines t));
+    Fabric.fail_core fabric (Rng.int rng (Topology.num_cores t))
+  end;
+  let b = Buffer.create 65536 in
+  let lost = ref 0 in
+  List.iter
+    (fun (group, members, enc) ->
+      let members = Array.of_list members in
+      (* Two member senders and one arbitrary host. *)
+      let senders =
+        [
+          Rng.choice rng members;
+          Rng.choice rng members;
+          Rng.int rng (Topology.num_hosts t);
+        ]
+      in
+      List.iter
+        (fun sender ->
+          let base = Encoding.header_for_sender enc ~sender in
+          let header =
+            match mode with
+            | Explicit_up ->
+                {
+                  base with
+                  Prule.u_leaf =
+                    {
+                      base.Prule.u_leaf with
+                      Prule.multipath = false;
+                      up = pin_up rng (Topology.leaf_upstream_width t);
+                    };
+                  u_spine =
+                    Option.map
+                      (fun u ->
+                        {
+                          u with
+                          Prule.multipath = false;
+                          up = pin_up rng (Topology.spine_upstream_width t);
+                        })
+                      base.Prule.u_spine;
+                }
+            | Plain | Tight | Failures | Legacy -> base
+          in
+          Printf.bprintf b "g%d s%d:" group sender;
+          let r = Fabric.inject fabric ~sender ~group ~header ~payload:100 in
+          lost := !lost + r.Fabric.lost;
+          pin_report b r)
+        senders)
+    groups;
+  let encs = List.map (fun (_, _, enc) -> enc) groups in
+  ( Digest.to_hex (Digest.string (Buffer.contents b)),
+    !lost,
+    List.exists (fun enc -> Encoding.srule_entries enc > 0) encs,
+    List.exists Encoding.uses_default encs )
+
+(* (topology, mode, seed) -> digest. *)
+let inject_pinned =
+  [
+    (("running", "plain", 5), "ac6e6e2f6aee58bc513ca743637f181c");
+    (("running", "plain", 17), "9c3e894888ebffa1d41ce6c1fb843096");
+    (("running", "tight", 5), "58b9bc51646cacb1bf872b029bb94897");
+    (("running", "tight", 17), "52ff568caba931a6e92e8cd18bf6977a");
+    (("running", "failures", 5), "b4afa1cb4d4439bfb6564923e2b9cc71");
+    (("running", "failures", 17), "24b48bd5b25818a0c72f565225f97178");
+    (("running", "explicit-up", 5), "6b13e59d6df87e0a694c2c3c399537cb");
+    (("running", "explicit-up", 17), "050569a5c3d6f72aebeb34b67b3e0e80");
+    (("running", "legacy", 5), "e56a20053121a9a87b0c16a1a144a951");
+    (("running", "legacy", 17), "b91d3afe8817c37b9ec678cae86624b2");
+    (("facebook", "plain", 5), "25cb953970384dc4a7d8e87c29499b88");
+    (("facebook", "plain", 17), "6f40005edc4042d1b527989447b170f4");
+    (("facebook", "tight", 5), "80b24ae980a6afa839f87821cf170c43");
+    (("facebook", "tight", 17), "daf1cbefa1526e7a028050116d3b1132");
+    (("facebook", "failures", 5), "94eff997246f77b0404a1f2da76ce29e");
+    (("facebook", "failures", 17), "2947250045e819719668d6c85358e432");
+    (("facebook", "explicit-up", 5), "7aff07e3f1fbb0c4f77a3c448b16f4a9");
+    (("facebook", "explicit-up", 17), "fcf59f8815749c4455cd42d2e0c22018");
+    (("facebook", "legacy", 5), "909cb0711221e6fd72e01faff26d17aa");
+    (("facebook", "legacy", 17), "56ecf0016c4a479065fce763d5302b6f");
+  ]
+
+let test_inject_golden_pin () =
+  List.iter
+    (fun (tname, t) ->
+      List.iter
+        (fun (mname, mode) ->
+          List.iter
+            (fun seed ->
+              let label = Printf.sprintf "%s/%s/seed %d" tname mname seed in
+              let got, lost, srules, defaults = pin_digest t mode seed in
+              (* The batch exercises what its mode names. *)
+              (match mode with
+              | Failures -> Alcotest.(check bool) (label ^ ": losses") true (lost > 0)
+              | Tight ->
+                  Alcotest.(check bool) (label ^ ": s-rules") true srules;
+                  Alcotest.(check bool) (label ^ ": defaults") true defaults
+              | Legacy -> Alcotest.(check bool) (label ^ ": s-rules") true srules
+              | Plain | Explicit_up -> ());
+              Alcotest.(check string) label
+                (List.assoc (tname, mname, seed) inject_pinned)
+                got)
+            [ 5; 17 ])
+        pin_modes)
+    [ ("running", topo); ("facebook", fabric_topo) ]
+
+let tests =
+  tests
+  @ [ Alcotest.test_case "golden pin: inject report" `Quick test_inject_golden_pin ]
