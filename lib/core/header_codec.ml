@@ -2,44 +2,6 @@ let layer_widths topo = function
   | `Spine -> (Topology.spine_downstream_width topo, Topology.spine_id_bits topo)
   | `Leaf -> (Topology.leaf_downstream_width topo, Topology.leaf_id_bits topo)
 
-let write_uprule w ~down_width ~up_width (u : Prule.uprule) =
-  if Bitmap.width u.Prule.down <> down_width || Bitmap.width u.Prule.up <> up_width
-  then invalid_arg "Header_codec: upstream rule width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-  Bitio.Writer.bitmap w u.Prule.down;
-  Bitio.Writer.bitmap w u.Prule.up;
-  Bitio.Writer.bit w u.Prule.multipath
-
-let write_section topo w layer rules default =
-  let width, id_bits = layer_widths topo layer in
-  List.iter
-    (fun (r : Prule.prule) ->
-      if r.Prule.switches = [] then
-        invalid_arg "Header_codec: p-rule with no switch identifiers"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      if Bitmap.width r.Prule.bitmap <> width then
-        invalid_arg "Header_codec: p-rule bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitio.Writer.bit w true;
-      Bitio.Writer.bitmap w r.Prule.bitmap;
-      let rec ids = function
-        | [] -> ()
-        | [ id ] ->
-            Bitio.Writer.bits w id id_bits;
-            Bitio.Writer.bit w false
-        | id :: rest ->
-            Bitio.Writer.bits w id id_bits;
-            Bitio.Writer.bit w true;
-            ids rest
-      in
-      ids r.Prule.switches)
-    rules;
-  Bitio.Writer.bit w false;
-  match default with
-  | None -> Bitio.Writer.bit w false
-  | Some bm ->
-      if Bitmap.width bm <> width then
-        invalid_arg "Header_codec: default bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      Bitio.Writer.bit w true;
-      Bitio.Writer.bitmap w bm
-
 let read_uprule r ~down_width ~up_width =
   let down = Bitio.Reader.bitmap r down_width in
   let up = Bitio.Reader.bitmap r up_width in
@@ -65,74 +27,17 @@ let read_section topo r layer =
   in
   (rules, default)
 
-let encoded_size topo h = Prule.header_bytes topo h
-
-type stage = Full | After_u_leaf | After_u_spine | After_core | After_d_spine
-
-(* Which sections remain at each stage, outermost first:
-   Full:          u_leaf, u_spine, core, d_spine, d_leaf
-   After_u_leaf:          u_spine, core, d_spine, d_leaf
-   After_u_spine:                  core, d_spine, d_leaf
-   After_core:                           d_spine, d_leaf
-   After_d_spine:                                 d_leaf *)
-
-let has_u_leaf = function Full -> true | _ -> false
-
-let has_u_spine = function Full | After_u_leaf -> true | _ -> false
-
-let has_core = function
-  | Full | After_u_leaf | After_u_spine -> true
-  | After_core | After_d_spine -> false
-
-let has_d_spine = function After_d_spine -> false | _ -> true
-
-let encode_stage topo stage (h : Prule.header) =
-  let w = Bitio.Writer.create () in
-  if has_u_leaf stage then
-    write_uprule w
+(* The upstream sections, in wire order, then both downstream sections
+   through [section] — the trusting [read_section] or the validating
+   [checked_section]. *)
+let read_header ~section topo r =
+  let u_leaf =
+    read_uprule r
       ~down_width:(Topology.leaf_downstream_width topo)
       ~up_width:(Topology.leaf_upstream_width topo)
-      h.Prule.u_leaf;
-  if has_u_spine stage then begin
-    match h.Prule.u_spine with
-    | None -> Bitio.Writer.bit w false
-    | Some u ->
-        Bitio.Writer.bit w true;
-        write_uprule w
-          ~down_width:(Topology.spine_downstream_width topo)
-          ~up_width:(Topology.spine_upstream_width topo)
-          u
-  end;
-  if has_core stage then begin
-    match h.Prule.core with
-    | None -> Bitio.Writer.bit w false
-    | Some bm ->
-        Bitio.Writer.bit w true;
-        Bitio.Writer.bitmap w bm
-  end;
-  if has_d_spine stage then
-    write_section topo w `Spine h.Prule.d_spine h.Prule.d_spine_default;
-  write_section topo w `Leaf h.Prule.d_leaf h.Prule.d_leaf_default;
-  Bitio.Writer.to_bytes w
-
-let empty_uprule topo =
-  {
-    Prule.down = Bitmap.create (Topology.leaf_downstream_width topo);
-    up = Bitmap.create (Topology.leaf_upstream_width topo);
-    multipath = false;
-  }
-
-let decode_stage topo stage data =
-  let r = Bitio.Reader.of_bytes data in
-  let u_leaf =
-    if has_u_leaf stage then
-      read_uprule r
-        ~down_width:(Topology.leaf_downstream_width topo)
-        ~up_width:(Topology.leaf_upstream_width topo)
-    else empty_uprule topo
   in
   let u_spine =
-    if has_u_spine stage && Bitio.Reader.bit r then
+    if Bitio.Reader.bit r then
       Some
         (read_uprule r
            ~down_width:(Topology.spine_downstream_width topo)
@@ -140,15 +45,19 @@ let decode_stage topo stage data =
     else None
   in
   let core =
-    if has_core stage && Bitio.Reader.bit r then
+    if Bitio.Reader.bit r then
       Some (Bitio.Reader.bitmap r (Topology.core_downstream_width topo))
     else None
   in
-  let d_spine, d_spine_default =
-    if has_d_spine stage then read_section topo r `Spine else ([], None)
-  in
-  let d_leaf, d_leaf_default = read_section topo r `Leaf in
+  let d_spine, d_spine_default = section topo r `Spine in
+  let d_leaf, d_leaf_default = section topo r `Leaf in
   { Prule.u_leaf; u_spine; core; d_spine; d_spine_default; d_leaf; d_leaf_default }
+
+let decode topo data = read_header ~section:read_section topo (Bitio.Reader.of_bytes data)
+
+let encoded_size topo h = Prule.header_bytes topo h
+
+type stage = Full | After_u_leaf | After_u_spine | After_core | After_d_spine
 
 let stage_bits topo stage h =
   match stage with
@@ -157,9 +66,6 @@ let stage_bits topo stage h =
   | After_u_spine -> Prule.remaining_bits_after topo h `U_spine
   | After_core -> Prule.remaining_bits_after topo h `Core
   | After_d_spine -> Prule.remaining_bits_after topo h `D_spine
-
-let encode topo h = encode_stage topo Full h
-let decode topo data = decode_stage topo Full data
 
 (* {1 Hostile-input decoding}
 
@@ -204,15 +110,18 @@ let checked_section topo r layer =
     | `Spine -> topo.Topology.pods
     | `Leaf -> Topology.num_leaves topo
   in
-  let seen = Array.make count false in
+  (* A bit per switch: the Facebook fabric's 576 leaves take 10 words, far
+     under [Max_young_wosize], so a checked decode never allocates in the
+     major heap directly (a [bool array] of that length would). *)
+  let seen = Bitmap.create count in
   let rec rules acc =
     if Bitio.Reader.bit r then begin
       let bitmap = Bitio.Reader.bitmap r width in
       let rec ids acc_ids =
         let id = Bitio.Reader.bits r id_bits in
         if id >= count then raise (Reject (Id_out_of_range { spine; id }));
-        if seen.(id) then raise (Reject (Duplicate_id { spine; id }));
-        seen.(id) <- true;
+        if Bitmap.get seen id then raise (Reject (Duplicate_id { spine; id }));
+        Bitmap.set seen id;
         if Bitio.Reader.bit r then ids (id :: acc_ids)
         else List.rev (id :: acc_ids)
       in
@@ -229,26 +138,7 @@ let checked_section topo r layer =
 let decode_checked topo data =
   match
     let r = Bitio.Reader.of_bytes data in
-    let u_leaf =
-      read_uprule r
-        ~down_width:(Topology.leaf_downstream_width topo)
-        ~up_width:(Topology.leaf_upstream_width topo)
-    in
-    let u_spine =
-      if Bitio.Reader.bit r then
-        Some
-          (read_uprule r
-             ~down_width:(Topology.spine_downstream_width topo)
-             ~up_width:(Topology.spine_upstream_width topo))
-      else None
-    in
-    let core =
-      if Bitio.Reader.bit r then
-        Some (Bitio.Reader.bitmap r (Topology.core_downstream_width topo))
-      else None
-    in
-    let d_spine, d_spine_default = checked_section topo r `Spine in
-    let d_leaf, d_leaf_default = checked_section topo r `Leaf in
+    let h = read_header ~section:checked_section topo r in
     (* Strict framing: at most the current byte's padding may remain, and
        it must be all-zero — a header buried in a longer hostile buffer is
        rejected rather than silently truncated. *)
@@ -256,27 +146,26 @@ let decode_checked topo data =
     while Bitio.Reader.remaining r > 0 do
       if Bitio.Reader.bit r then raise (Reject Trailing_bits)
     done;
-    {
-      Prule.u_leaf;
-      u_spine;
-      core;
-      d_spine;
-      d_spine_default;
-      d_leaf;
-      d_leaf_default;
-    }
+    h
   with
   | h -> Ok h
   | exception Reject e -> Error e
   | exception Bitio.Reader.Truncated -> Error Truncated
 
-(* {1 Caller-buffer encoding (zero-alloc)}
+(* {1 Encoding: the one writer}
 
-   The ROADMAP wire-codec surface: the same bit layout as [encode], written
-   through a caller-provided {!Bitio.Sink} with no heap allocation on the
-   success path. The write logic is duplicated rather than abstracted over
-   the writer — a shared higher-order writer would capture the sink in
-   closures, which allocate. *)
+   Every encoder goes through a caller-provided {!Bitio.Sink}, with no heap
+   allocation on the success path: [encode_into] is the primitive, [encode]
+   runs it on a buffer of exactly [encoded_size] bytes, and [encode_parts]
+   runs the same section writers once per part. *)
+
+(* elmo-lint: zero-alloc *)
+let require_switches (r : Prule.prule) =
+  match r.Prule.switches with
+  | [] ->
+      (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+      invalid_arg "Header_codec: p-rule with no switch identifiers" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
+  | _ :: _ -> ()
 
 (* elmo-lint: zero-alloc *)
 let rec write_ids_into s id_bits ids =
@@ -295,11 +184,7 @@ let rec write_rules_into s width id_bits rules =
   match rules with
   | [] -> ()
   | r :: rest ->
-      (match r.Prule.switches with
-      | [] ->
-          (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
-          invalid_arg "Header_codec: p-rule with no switch identifiers" (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-      | _ :: _ -> ());
+      require_switches r;
       if Bitmap.width r.Prule.bitmap <> width then
         (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
         invalid_arg "Header_codec: p-rule bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
@@ -334,24 +219,39 @@ let write_uprule_into s ~down_width ~up_width (u : Prule.uprule) =
   Bitio.Sink.bit s u.Prule.multipath
 
 (* elmo-lint: zero-alloc *)
-let encode_into topo (h : Prule.header) s =
+let write_u_leaf_into topo s (h : Prule.header) =
   write_uprule_into s
     ~down_width:(Topology.leaf_downstream_width topo)
     ~up_width:(Topology.leaf_upstream_width topo)
-    h.Prule.u_leaf;
-  (match h.Prule.u_spine with
+    h.Prule.u_leaf
+
+(* elmo-lint: zero-alloc *)
+let write_u_spine_into topo s (h : Prule.header) =
+  match h.Prule.u_spine with
   | None -> Bitio.Sink.bit s false
   | Some u ->
       Bitio.Sink.bit s true;
       write_uprule_into s
         ~down_width:(Topology.spine_downstream_width topo)
         ~up_width:(Topology.spine_upstream_width topo)
-        u);
-  (match h.Prule.core with
+        u
+
+(* elmo-lint: zero-alloc *)
+let write_core_into topo s (h : Prule.header) =
+  match h.Prule.core with
   | None -> Bitio.Sink.bit s false
   | Some bm ->
+      if Bitmap.width bm <> Topology.core_downstream_width topo then
+        (* elmo-lint: allow zero-alloc — error path: raising Invalid_argument allocates *)
+        invalid_arg "Header_codec: core bitmap width mismatch"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
       Bitio.Sink.bit s true;
-      Bitio.Sink.bitmap s bm);
+      Bitio.Sink.bitmap s bm
+
+(* elmo-lint: zero-alloc *)
+let encode_into topo (h : Prule.header) s =
+  write_u_leaf_into topo s h;
+  write_u_spine_into topo s h;
+  write_core_into topo s h;
   write_section_into s
     (Topology.spine_downstream_width topo)
     (Topology.spine_id_bits topo)
@@ -362,41 +262,52 @@ let encode_into topo (h : Prule.header) s =
     h.Prule.d_leaf h.Prule.d_leaf_default;
   Bitio.Sink.finish s
 
+(* [Prule]'s size accounting raises its own error on an empty switch list;
+   checking first keeps the codec's. *)
+let require_all_switches (h : Prule.header) =
+  List.iter require_switches h.Prule.d_spine;
+  List.iter require_switches h.Prule.d_leaf
+
+let encode topo h =
+  require_all_switches h;
+  let buf = Bytes.create (encoded_size topo h) in
+  ignore (encode_into topo h (Bitio.Sink.of_bytes buf) : int);
+  buf
+
 let encode_parts topo (h : Prule.header) =
   (* One byte-aligned buffer per section/rule - the unit of a "write call"
-     in the per-rule encapsulation path (§4.2). *)
+     in the per-rule encapsulation path (§4.2). The parts are written back
+     to back into one buffer: each adds at most 7 padding bits, and a rule
+     part 2 bits (terminator, absent default) over its share of
+     [encoded_size], so 2 spare bytes per part always suffice. *)
+  require_all_switches h;
+  let nparts = 5 + List.length h.Prule.d_spine + List.length h.Prule.d_leaf in
+  let buf = Bytes.create (encoded_size topo h + (2 * nparts)) in
+  let s = Bitio.Sink.of_bytes buf in
   let parts = ref [] in
-  let emit f =
-    let w = Bitio.Writer.create () in
-    f w;
-    parts := Bitio.Writer.to_bytes w :: !parts
+  let emit write =
+    let start = Bitio.Sink.byte_pos s in
+    write s;
+    let stop = Bitio.Sink.finish s in
+    parts := Bytes.sub buf start (stop - start) :: !parts
   in
-  emit (fun w ->
-      write_uprule w
-        ~down_width:(Topology.leaf_downstream_width topo)
-        ~up_width:(Topology.leaf_upstream_width topo)
-        h.Prule.u_leaf);
-  emit (fun w ->
-      match h.Prule.u_spine with
-      | None -> Bitio.Writer.bit w false
-      | Some u ->
-          Bitio.Writer.bit w true;
-          write_uprule w
-            ~down_width:(Topology.spine_downstream_width topo)
-            ~up_width:(Topology.spine_upstream_width topo)
-            u);
-  emit (fun w ->
-      match h.Prule.core with
-      | None -> Bitio.Writer.bit w false
-      | Some bm ->
-          Bitio.Writer.bit w true;
-          Bitio.Writer.bitmap w bm);
-  let emit_section layer rules default =
-    List.iter (fun r -> emit (fun w -> write_section topo w layer [ r ] None)) rules;
-    emit (fun w -> write_section topo w layer [] default)
+  emit (fun s -> write_u_leaf_into topo s h);
+  emit (fun s -> write_u_spine_into topo s h);
+  emit (fun s -> write_core_into topo s h);
+  let emit_section width id_bits rules default =
+    List.iter
+      (fun r -> emit (fun s -> write_section_into s width id_bits [ r ] None))
+      rules;
+    emit (fun s -> write_section_into s width id_bits [] default)
   in
-  emit_section `Spine h.Prule.d_spine h.Prule.d_spine_default;
-  emit_section `Leaf h.Prule.d_leaf h.Prule.d_leaf_default;
+  emit_section
+    (Topology.spine_downstream_width topo)
+    (Topology.spine_id_bits topo)
+    h.Prule.d_spine h.Prule.d_spine_default;
+  emit_section
+    (Topology.leaf_downstream_width topo)
+    (Topology.leaf_id_bits topo)
+    h.Prule.d_leaf h.Prule.d_leaf_default;
   List.rev !parts
 
 let encode_per_rule_writes topo h =

@@ -29,6 +29,8 @@ type t = {
       (* minimum controller epoch whose mutations the fabric accepts; a
          fenced ex-primary's late installs bounce off it *)
   mutable fenced : int;  (* mutations refused below the fence, cumulative *)
+  mutable scratch : bytes;  (* [inject]'s serialization buffer, grown on demand *)
+  mutable sink : Bitio.Sink.t;  (* writes [scratch] *)
 }
 
 let create topo =
@@ -45,6 +47,8 @@ let create topo =
     telemetry = None;
     fence_epoch = 0;
     fenced = 0;
+    scratch = Bytes.empty;
+    sink = Bitio.Sink.of_bytes Bytes.empty;
   }
 
 let topology t = t.topo
@@ -270,6 +274,22 @@ let match_rule ~legacy rules id table group default =
         | Some bm -> Some bm
         | None -> default)
 
+let grow t size =
+  t.scratch <- Bytes.create (max size (2 * Bytes.length t.scratch));
+  t.sink <- Bitio.Sink.of_bytes t.scratch
+
+(* The packet's one serialization: [header] encoded into the fabric's
+   scratch buffer, grown first to [size] bytes. The bytes are what the
+   sender's hypervisor puts on the wire; forwarding reads the header
+   record, so only the length is returned. *)
+(* elmo-lint: zero-alloc *)
+let serialize t header ~size =
+  if Bytes.length t.scratch < size then
+    (* elmo-lint: allow zero-alloc — growth path: runs only until the buffer fits the largest header seen *)
+    grow t size;
+  Bitio.Sink.reset t.sink ~pos:0;
+  Header_codec.encode_into t.topo header t.sink
+
 let inject t ~sender ~group ~header ~payload =
   let topo = t.topo in
   let acc =
@@ -284,16 +304,24 @@ let inject t ~sender ~group ~header ~payload =
     }
   in
   let hash = Ecmp.flow_hash ~group ~sender in
-  let encode stage = Header_codec.encode_stage topo stage header in
   let sl = Topology.leaf_of_host topo sender in
   let sp = Topology.pod_of_leaf topo sl in
+  (* Serialize once (rejecting a malformed header as [encode] does), then
+     size every popped stage once. Each switch below reads the section its
+     layer owns straight from [header]; popping a layer only moves the next
+     hop on to the following section and its precomputed byte count. *)
+  let full = serialize t header ~size:(Header_codec.encoded_size topo header) in
+  let popped stage = (Header_codec.stage_bits topo stage header + 7) / 8 in
+  let after_u_leaf = popped Header_codec.After_u_leaf in
+  let after_u_spine = popped Header_codec.After_u_spine in
+  let after_core = popped Header_codec.After_core in
+  let after_d_spine = popped Header_codec.After_d_spine in
 
-  (* Downstream leaf: parse the (already popped) header and forward. *)
-  let at_leaf_down leaf bytes =
-    let h = Header_codec.decode_stage topo Header_codec.After_d_spine bytes in
+  (* Downstream leaf: only the d_leaf section is still on the wire. *)
+  let at_leaf_down leaf =
     let fb =
-      match_rule ~legacy:t.leaf_legacy.(leaf) h.Prule.d_leaf leaf
-        t.leaf_tables.(leaf) group h.Prule.d_leaf_default
+      match_rule ~legacy:t.leaf_legacy.(leaf) header.Prule.d_leaf leaf
+        t.leaf_tables.(leaf) group header.Prule.d_leaf_default
     in
     match fb with
     | None -> ()
@@ -305,68 +333,56 @@ let inject t ~sender ~group ~header ~payload =
           bm
   in
   (* Downstream spine (physical [s]) in pod [p]. *)
-  let at_spine_down s p bytes =
-    let h = Header_codec.decode_stage topo Header_codec.After_core bytes in
+  let at_spine_down s p =
     let fb =
-      match_rule ~legacy:t.spine_legacy.(s) h.Prule.d_spine p
-        t.spine_tables.(s) group h.Prule.d_spine_default
+      match_rule ~legacy:t.spine_legacy.(s) header.Prule.d_spine p
+        t.spine_tables.(s) group header.Prule.d_spine_default
     in
     match fb with
     | None -> ()
     | Some bm ->
-        let to_leaf = encode Header_codec.After_d_spine in
         let plane = s mod topo.Topology.spines_per_pod in
         Bitmap.iter
           (fun port ->
             let leaf = (p * topo.Topology.leaves_per_pod) + port in
-            hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf)
-              (Bytes.length to_leaf);
-            if link_ok t ~leaf ~plane then at_leaf_down leaf to_leaf
+            hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf) after_d_spine;
+            if link_ok t ~leaf ~plane then at_leaf_down leaf
             else acc.lost <- acc.lost + 1)
           bm
   in
-  let at_core c bytes =
+  let at_core c =
     if not t.core_up.(c) then acc.lost <- acc.lost + 1
-    else begin
-      let h = Header_codec.decode_stage topo Header_codec.After_u_spine bytes in
-      match h.Prule.core with
+    else
+      match header.Prule.core with
       | None -> ()
       | Some bm ->
           let plane = c / topo.Topology.cores_per_plane in
-          let to_spine = encode Header_codec.After_core in
           Bitmap.iter
             (fun p ->
               let s = (p * topo.Topology.spines_per_pod) + plane in
-              hop acc ~src:(Core_node c) ~dst:(Spine_node s)
-                (Bytes.length to_spine);
-              if t.spine_up.(s) then at_spine_down s p to_spine
+              hop acc ~src:(Core_node c) ~dst:(Spine_node s) after_core;
+              if t.spine_up.(s) then at_spine_down s p
               else acc.lost <- acc.lost + 1)
             bm
-    end
   in
   (* Sender-pod spine (physical [s]): upstream processing. *)
-  let at_spine_up s bytes =
+  let at_spine_up s =
     if not t.spine_up.(s) then acc.lost <- acc.lost + 1
-    else begin
-      let h = Header_codec.decode_stage topo Header_codec.After_u_leaf bytes in
-      match h.Prule.u_spine with
+    else
+      match header.Prule.u_spine with
       | None -> ()
       | Some u ->
-          let to_leaf = encode Header_codec.After_d_spine in
           let plane = s mod topo.Topology.spines_per_pod in
           Bitmap.iter
             (fun port ->
               let leaf = (sp * topo.Topology.leaves_per_pod) + port in
-              hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf)
-                (Bytes.length to_leaf);
-              if link_ok t ~leaf ~plane then at_leaf_down leaf to_leaf
+              hop acc ~src:(Spine_node s) ~dst:(Leaf_node leaf) after_d_spine;
+              if link_ok t ~leaf ~plane then at_leaf_down leaf
               else acc.lost <- acc.lost + 1)
             u.Prule.down;
-          let plane = s mod topo.Topology.spines_per_pod in
-          let to_core = encode Header_codec.After_u_spine in
           let send_core c =
-            hop acc ~src:(Spine_node s) ~dst:(Core_node c) (Bytes.length to_core);
-            at_core c to_core
+            hop acc ~src:(Spine_node s) ~dst:(Core_node c) after_u_spine;
+            at_core c
           in
           if u.Prule.multipath then begin
             if topo.Topology.cores_per_plane > 0 then
@@ -376,22 +392,19 @@ let inject t ~sender ~group ~header ~payload =
             Bitmap.iter
               (fun port -> send_core ((plane * topo.Topology.cores_per_plane) + port))
               u.Prule.up
-    end
   in
   (* Sender leaf: upstream processing of the full header. *)
-  let at_leaf_up bytes =
-    let h = Header_codec.decode_stage topo Header_codec.Full bytes in
-    let u = h.Prule.u_leaf in
+  let at_leaf_up () =
+    let u = header.Prule.u_leaf in
     Bitmap.iter
       (fun port ->
         deliver acc ~src:(Leaf_node sl)
           ((sl * topo.Topology.hosts_per_leaf) + port))
       u.Prule.down;
-    let to_spine = encode Header_codec.After_u_leaf in
     let send_spine s =
-      hop acc ~src:(Leaf_node sl) ~dst:(Spine_node s) (Bytes.length to_spine);
+      hop acc ~src:(Leaf_node sl) ~dst:(Spine_node s) after_u_leaf;
       if link_ok t ~leaf:sl ~plane:(s mod topo.Topology.spines_per_pod) then
-        at_spine_up s to_spine
+        at_spine_up s
       else acc.lost <- acc.lost + 1
     in
     if u.Prule.multipath then
@@ -401,9 +414,8 @@ let inject t ~sender ~group ~header ~payload =
         (fun port -> send_spine ((sp * topo.Topology.spines_per_pod) + port))
         u.Prule.up
   in
-  let full = encode Header_codec.Full in
-  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) (Bytes.length full);
-  at_leaf_up full;
+  hop acc ~src:(Host_node sender) ~dst:(Leaf_node sl) full;
+  at_leaf_up ();
   (match t.telemetry with
   | None -> ()
   | Some tel ->

@@ -1,11 +1,14 @@
 (** Packet-level model of the Elmo data plane (§4.1).
 
-    Every network switch is simulated operationally: the serialized header
-    is parsed at each hop exactly as a P4 parser would (match own identifier
-    against the p-rule list of the packet's current stage), s-rules live in
-    per-physical-switch group tables, default p-rules catch the rest, and
-    each hop pops the layers the next hop no longer needs, shrinking the
-    packet on the wire.
+    Every network switch is simulated operationally: it matches its own
+    identifier against the p-rules of the section its layer owns (as a P4
+    parser would), falls back to its group table of s-rules and then to the
+    section's default p-rule, and pops the layers the next hop no longer
+    needs, shrinking the packet on the wire. Like a P4 pipeline, the model
+    parses once: {!inject} serializes the header a single time (rejecting
+    what {!Header_codec.encode} rejects), every switch reads its section
+    from the header record, and each hop's header bytes come from
+    {!Header_codec.stage_bits}, sized once per packet.
 
     This is the executable ground truth against which the analytic model in
     {!Traffic} is validated (they must produce identical transmission and
@@ -162,7 +165,16 @@ val inject :
 (** Sends one packet from [sender]'s hypervisor with the given Elmo header.
     ECMP hashing is deterministic in [(group, sender)]. [payload] sizes the
     report and the telemetry byte counts; forwarding decisions never read
-    it. *)
+    it. Raises [Invalid_argument] on a header {!Header_codec.encode}
+    rejects, before any hop. *)
+
+val serialize : t -> Prule.header -> size:int -> int
+(** The one serialization {!inject} makes of a packet:
+    {!Header_codec.encode_into} on the fabric's scratch buffer, grown first
+    to at least [size] bytes (pass {!Header_codec.encoded_size}). Returns
+    the encoded length, the first hop's header bytes. Allocates nothing
+    once the buffer has grown. Raises [Invalid_argument] as
+    {!Header_codec.encode_into} does. *)
 
 val deliveries_correct :
   report -> tree:Tree.t -> sender:int -> bool

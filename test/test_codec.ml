@@ -54,38 +54,50 @@ let prop_size_accounting t name =
   QCheck.Test.make ~name ~count:300 (arb_header t) (fun h ->
       Bytes.length (Header_codec.encode t h) = Prule.header_bytes t h)
 
-let prop_stage_sizes t name =
-  QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
-      List.for_all
-        (fun stage ->
-          Bytes.length (Header_codec.encode_stage t stage h)
-          = (Header_codec.stage_bits t stage h + 7) / 8)
-        stages)
-
-let prop_stage_roundtrip t name =
-  (* Decoding a popped header recovers the remaining sections exactly. *)
-  QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
-      let check stage =
-        let h' =
-          Header_codec.decode_stage t stage (Header_codec.encode_stage t stage h)
-        in
-        match stage with
-        | Header_codec.Full -> h' = h
-        | Header_codec.After_u_leaf ->
-            h'.Prule.u_spine = h.Prule.u_spine
-            && h'.Prule.core = h.Prule.core
-            && h'.Prule.d_spine = h.Prule.d_spine
-            && h'.Prule.d_leaf = h.Prule.d_leaf
-        | Header_codec.After_u_spine ->
-            h'.Prule.core = h.Prule.core && h'.Prule.d_leaf = h.Prule.d_leaf
-        | Header_codec.After_core ->
-            h'.Prule.core = None && h'.Prule.d_spine = h.Prule.d_spine
-        | Header_codec.After_d_spine ->
-            h'.Prule.d_spine = []
-            && h'.Prule.d_leaf = h.Prule.d_leaf
-            && h'.Prule.d_leaf_default = h.Prule.d_leaf_default
+(* Popping a layer leaves the tail of the one [Full] encoding. Reading that
+   encoding with a [Bitio.Reader], the bits left at each section boundary
+   are exactly [stage_bits] of the stage that starts there, so they never
+   grow from one stage to the next. *)
+let prop_stage_boundaries t name =
+  QCheck.Test.make ~name ~count:300 (arb_header t) (fun h ->
+      let r = Bitio.Reader.of_bytes (Header_codec.encode t h) in
+      let skip n = for _ = 1 to n do ignore (Bitio.Reader.bit r : bool) done in
+      let uprule ~down ~up = skip (down + up + 1) in
+      let section width id_bits =
+        while Bitio.Reader.bit r do
+          skip width;
+          skip id_bits;
+          while Bitio.Reader.bit r do
+            skip id_bits
+          done
+        done;
+        if Bitio.Reader.bit r then skip width
       in
-      List.for_all check stages)
+      let total = Prule.header_bits t h in
+      let left = ref [] in
+      let boundary () = left := (total - Bitio.Reader.pos r) :: !left in
+      boundary ();
+      uprule ~down:(Topology.leaf_downstream_width t)
+        ~up:(Topology.leaf_upstream_width t);
+      boundary ();
+      if Bitio.Reader.bit r then
+        uprule ~down:(Topology.spine_downstream_width t)
+          ~up:(Topology.spine_upstream_width t);
+      boundary ();
+      if Bitio.Reader.bit r then skip (Topology.core_downstream_width t);
+      boundary ();
+      section (Topology.spine_downstream_width t) (Topology.spine_id_bits t);
+      boundary ();
+      section (Topology.leaf_downstream_width t) (Topology.leaf_id_bits t);
+      let left = List.rev !left in
+      let rec non_increasing = function
+        | a :: (b :: _ as rest) -> a >= b && non_increasing rest
+        | [ _ ] | [] -> true
+      in
+      left = List.map (fun stage -> Header_codec.stage_bits t stage h) stages
+      && non_increasing left
+      && Bitio.Reader.pos r = total
+      && Bitio.Reader.remaining r < 8)
 
 (* The symbolic meaning survives the wire: encoding then decoding an
    arbitrary header preserves its delivery predicate under the header-only
@@ -108,14 +120,6 @@ let prop_parts_concat t name =
   QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
       Header_codec.encode_per_rule_writes t h
       = Bytes.concat Bytes.empty (Header_codec.encode_parts t h))
-
-let prop_popped_smaller t name =
-  QCheck.Test.make ~name ~count:200 (arb_header t) (fun h ->
-      let size stage = Bytes.length (Header_codec.encode_stage t stage h) in
-      size Header_codec.Full >= size Header_codec.After_u_leaf
-      && size Header_codec.After_u_leaf >= size Header_codec.After_u_spine
-      && size Header_codec.After_u_spine >= size Header_codec.After_core
-      && size Header_codec.After_core >= size Header_codec.After_d_spine)
 
 let test_empty_rule_list_rejected () =
   let bad =
@@ -159,6 +163,34 @@ let test_wrong_width_rejected () =
     (Invalid_argument "Header_codec: upstream rule width mismatch") (fun () ->
       ignore (Header_codec.encode topo bad))
 
+let test_wrong_core_width_rejected () =
+  (* Twelve pods: a 20-bit core bitmap would otherwise encode to one byte
+     more than [encoded_size] accounts for. *)
+  let bad =
+    {
+      Prule.u_leaf =
+        {
+          Prule.down = Bitmap.create (Topology.leaf_downstream_width fabric);
+          up = Bitmap.create (Topology.leaf_upstream_width fabric);
+          multipath = true;
+        };
+      u_spine = None;
+      core = Some (Bitmap.create 20);
+      d_spine = [];
+      d_spine_default = None;
+      d_leaf = [];
+      d_leaf_default = None;
+    }
+  in
+  let expected = Invalid_argument "Header_codec: core bitmap width mismatch" in
+  Alcotest.check_raises "encode" expected (fun () ->
+      ignore (Header_codec.encode fabric bad));
+  Alcotest.check_raises "encode_into" expected (fun () ->
+      let sink = Bitio.Sink.of_bytes (Bytes.create 256) in
+      ignore (Header_codec.encode_into fabric bad sink : int));
+  Alcotest.check_raises "encode_parts" expected (fun () ->
+      ignore (Header_codec.encode_parts fabric bad))
+
 let test_truncated_decode_raises () =
   let enc, _ =
     let tree = Tree.of_members topo [ 0; 1; 12; 42 ] in
@@ -182,12 +214,15 @@ let tests =
       (prop_predicate_roundtrip topo "predicate unchanged by codec (example topo)");
     QCheck_alcotest.to_alcotest
       (prop_predicate_roundtrip fabric "predicate unchanged by codec (fabric)");
-    QCheck_alcotest.to_alcotest (prop_stage_sizes topo "stage sizes (example topo)");
-    QCheck_alcotest.to_alcotest (prop_stage_roundtrip topo "stage roundtrip");
+    QCheck_alcotest.to_alcotest
+      (prop_stage_boundaries topo "stage boundaries (example topo)");
+    QCheck_alcotest.to_alcotest
+      (prop_stage_boundaries fabric "stage boundaries (fabric)");
     QCheck_alcotest.to_alcotest (prop_parts_concat topo "parts concat = per-rule bytes");
-    QCheck_alcotest.to_alcotest (prop_popped_smaller topo "popping shrinks the wire");
     Alcotest.test_case "empty rule list rejected" `Quick test_empty_rule_list_rejected;
     Alcotest.test_case "wrong width rejected" `Quick test_wrong_width_rejected;
+    Alcotest.test_case "wrong core width rejected" `Quick
+      test_wrong_core_width_rejected;
     Alcotest.test_case "truncated decode raises" `Quick test_truncated_decode_raises;
   ]
 
@@ -202,19 +237,8 @@ let prop_decode_never_crashes =
       | (_ : Prule.header) -> true
       | exception Bitio.Reader.Truncated -> true)
 
-let prop_decode_stage_never_crashes =
-  QCheck.Test.make ~name:"stage decode of random bytes is total (or Truncated)"
-    ~count:500
-    QCheck.(pair (int_range 0 4) (string_of_size Gen.(int_range 0 64)))
-    (fun (stage_idx, s) ->
-      let stage = List.nth stages stage_idx in
-      match Header_codec.decode_stage topo stage (Bytes.of_string s) with
-      | (_ : Prule.header) -> true
-      | exception Bitio.Reader.Truncated -> true)
-
 let tests =
   tests
   @ [
       QCheck_alcotest.to_alcotest prop_decode_never_crashes;
-      QCheck_alcotest.to_alcotest prop_decode_stage_never_crashes;
     ]

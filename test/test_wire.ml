@@ -718,6 +718,36 @@ let test_decode_fuzz_no_exceptions_no_over_delivery () =
     (!ok > 0 && !malformed > 0);
   Alcotest.(check int) "all inputs accounted" n (!ok + !malformed + !over)
 
+(* A bool array of 576 leaves would be allocated straight into the major
+   heap on every checked decode; the seen-set must stay in the minor heap.
+   Direct major words are major minus promoted words. *)
+let test_decode_checked_no_major_alloc () =
+  let fb = Topology.facebook_fabric () in
+  let hpl = fb.Topology.hosts_per_leaf and lpp = fb.Topology.leaves_per_pod in
+  let members = List.init 40 (fun i -> (((i mod 5) * lpp) + i) * hpl) in
+  let enc =
+    Encoding.encode Params.default (Srule_state.create fb ~fmax:100)
+      (Tree.of_members fb members)
+  in
+  let bytes =
+    Header_codec.encode fb (Encoding.header_for_sender enc ~sender:(List.hd members))
+  in
+  let direct_major f =
+    let _, p0, m0 = Gc.counters () in
+    f ();
+    let _, p1, m1 = Gc.counters () in
+    m1 -. m0 -. (p1 -. p0)
+  in
+  let words =
+    direct_major (fun () ->
+        for _ = 1 to 1000 do
+          match Header_codec.decode_checked fb bytes with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "rejected: %a" Header_codec.pp_decode_error e
+        done)
+  in
+  Alcotest.(check (float 0.0)) "direct major words" 0.0 words
+
 (* {1 Zero-alloc encode_into} *)
 
 let test_encode_into_matches_encode () =
@@ -766,6 +796,28 @@ let test_encode_into_zero_alloc () =
         report.Allocs.per_event
   | Some (event, words) ->
       Alcotest.failf "encode_into allocated %d words at event %d (%.1f total)"
+        words event report.Allocs.total_words
+
+(* The per-packet serialization inside [Fabric.inject]: once the fabric's
+   scratch buffer has grown to the header, sending allocates nothing for
+   the wire bytes. *)
+let test_inject_serialize_zero_alloc () =
+  let ctrl = header_setup () in
+  let hd = Option.get (Controller.header ctrl ~group:0 ~sender:0) in
+  let size = Header_codec.encoded_size topo hd in
+  let fabric = Fabric.create topo in
+  Alcotest.(check int) "returns the encoded length" size
+    (Fabric.serialize fabric hd ~size);
+  let report =
+    Allocs.probe ~warmup:64 ~events:2048 (fun _ ->
+        ignore (Fabric.serialize fabric hd ~size : int))
+  in
+  match report.Allocs.first_alloc with
+  | None ->
+      Alcotest.(check (float 0.0)) "zero words per event" 0.0
+        report.Allocs.per_event
+  | Some (event, words) ->
+      Alcotest.failf "Fabric.serialize allocated %d words at event %d (%.1f total)"
         words event report.Allocs.total_words
 
 (* {1 Wire file round-trip} *)
@@ -834,5 +886,9 @@ let tests =
       test_encode_into_overflow_raises;
     Alcotest.test_case "encode_into zero-alloc" `Quick
       test_encode_into_zero_alloc;
+    Alcotest.test_case "inject serialization zero-alloc" `Quick
+      test_inject_serialize_zero_alloc;
+    Alcotest.test_case "decode_checked no major alloc" `Quick
+      test_decode_checked_no_major_alloc;
     Alcotest.test_case "wire file round-trip" `Quick test_file_round_trip;
   ]
