@@ -292,8 +292,10 @@ let verify_cmd =
   let corrupt_arg =
     let doc =
       "Self-test: after installing, drop one receiver's port from the \
-       leaf-layer rules of the first multicast group, so the check must \
-       produce a counterexample and exit nonzero."
+       leaf-layer rules of the first multicast group in a decoded \
+       checkpoint of the controller, so the check must produce a \
+       counterexample and exit 1; the live controller is then re-checked \
+       and must still pass (exit 3 otherwise)."
     in
     Arg.(value & flag & info [ "corrupt" ] ~doc)
   in
@@ -354,8 +356,23 @@ let verify_cmd =
         (Controller.add_group ctrl ~group:g
            (List.map (fun h -> (h, Controller.Both)) members))
     done;
-    let cfg = Controller.installed_config ctrl in
-    if corrupt then sabotage topo cfg;
+    let cfg =
+      if not corrupt then Controller.installed_config ctrl
+      else begin
+        (* Sabotage a view that owns its bitmaps — the controller's
+           checkpoint, decoded — never the live view, which borrows the
+           controller's own. *)
+        let w = Byteio.Writer.create () in
+        Controller.write_snapshot w ctrl;
+        let cfg =
+          Controller.installed_config_of_snapshot
+            (Controller.read_snapshot
+               (Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w)))
+        in
+        sabotage topo cfg;
+        cfg
+      end
+    in
     Format.printf "checking %d groups against their own trees (%a)...@."
       groups Topology.pp topo;
     let cache = Verify.create_cache () in
@@ -364,6 +381,14 @@ let verify_cmd =
         Format.printf "ok: %d groups, installed state == intended delivery@." n
     | Error w ->
         Format.printf "counterexample: %a@." Verify.pp_witness w;
+        (if corrupt then
+           match Verify.check_controller ctrl with
+           | Ok n ->
+               Format.printf "live controller untouched: %d groups ok@." n
+           | Error w ->
+               Format.printf "live controller corrupted too: %a@."
+                 Verify.pp_witness w;
+               exit 3);
         exit 1);
     (* Demonstrate the incremental oracle: one membership event should
        invalidate exactly one group's cached predicates. *)

@@ -39,7 +39,7 @@ type fabric_hooks = {
    upstream rules: explicit spine ports at the leaf, explicit core ports at
    the spine (§3.3). [unicast = true] marks an uncoverable pod whose senders
    degrade to unicast. *)
-type override = {
+type override = Installed_config.override = {
   up_leaf_ports : Bitmap.t;
   up_spine_ports : Bitmap.t option;
   unicast : bool;
@@ -1142,14 +1142,15 @@ let recover_core t c =
 
 (* {1 Crash-consistent checkpoints}
 
-   A snapshot is a deep copy of everything recovery needs to continue
-   bit-identically: membership, encodings (with their bitmap aliasing
-   preserved — see {!Encoding.copy}), installed overrides, the s-rule
-   ledger, health/denial state, stale markers and every counter. Restoring
-   builds a fresh controller and does {e not} re-emit fabric installs: the
-   fabric's state survives a controller crash, and the journal replay that
-   follows a restore re-issues exactly the operations the crashed
-   controller had not yet checkpointed. *)
+   A snapshot holds everything recovery needs to continue bit-identically:
+   membership, encodings (with their bitmap aliasing preserved — see
+   {!Encoding.write}), installed overrides, the s-rule ledger,
+   health/denial state, stale markers and every counter. The only way to
+   get one is to decode the bytes [write_snapshot] writes from a live
+   controller. Restoring builds a fresh controller and does {e not}
+   re-emit fabric installs: the fabric's state survives a controller
+   crash, and the journal replay that follows a restore re-issues exactly
+   the operations the crashed controller had not yet checkpointed. *)
 
 type snapshot = {
   snap_topo : Topology.t;
@@ -1180,55 +1181,21 @@ let copy_override ov =
     unicast = ov.unicast;
   }
 
-let snapshot t =
-  let groups =
-    Hashtbl.fold
-      (fun group st acc ->
-        let overrides =
-          Hashtbl.fold
-            (fun host ov acc -> (host, copy_override ov) :: acc)
-            st.applied []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        (group, st.members, Option.map Encoding.copy st.enc, overrides) :: acc)
-      t.groups []
-    |> List.sort (fun (g1, _, _, _) (g2, _, _, _) -> compare g1 g2)
-  in
-  {
-    snap_topo = t.topo;
-    snap_params = t.params;
-    snap_incremental = t.incremental;
-    snap_groups = groups;
-    snap_srules = Srule_state.copy t.srules;
-    snap_fast_hits = t.fast_hits;
-    snap_reencodes = t.reencodes;
-    snap_spine_ok = Array.copy t.spine_ok;
-    snap_core_ok = Array.copy t.core_ok;
-    snap_link_ok = Array.copy t.link_ok;
-    snap_denied_leaf = Array.copy t.denied_leaf;
-    snap_denied_pod = Array.copy t.denied_pod;
-    snap_stale =
-      Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.stale []
-      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2);
-    snap_install_attempts = t.install_attempts;
-    snap_install_retries = t.install_retries;
-    snap_install_exhausted = t.install_exhausted;
-    snap_degradations = t.degradations;
-    snap_compensations = t.compensations;
-  }
+let by_key (a, _) (b, _) = Int.compare a b
+
+(* The installed overrides of one group, ascending by sender host. *)
+let sorted_overrides st =
+  Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
+  |> List.sort by_key
 
 (* {1 Installed-configuration views}
 
-   The pure [Installed_config.t] view feeds the symbolic verification layer
-   ([lib/verify]). Both producers deep-copy: a view stays valid across later
-   controller mutations, exactly like a snapshot. *)
-
-let view_override ov =
-  {
-    Installed_config.up_leaf_ports = Bitmap.copy ov.up_leaf_ports;
-    up_spine_ports = Option.map Bitmap.copy ov.up_spine_ports;
-    unicast = ov.unicast;
-  }
+   The [Installed_config.t] view feeds the symbolic verification layer
+   ([lib/verify]). [installed_config] borrows: the view shares the
+   controller's encodings, override records and health/denial arrays, so
+   building it copies no bitmap, and it is valid only until the
+   controller's next mutating call. [installed_config_of_snapshot] owns
+   its data. *)
 
 let view_of_group ~gid ~members ~enc ~overrides =
   let of_role want =
@@ -1239,26 +1206,21 @@ let view_of_group ~gid ~members ~enc ~overrides =
     Installed_config.gid;
     receivers = of_role (function Receiver | Both -> true | Sender -> false);
     senders = of_role (function Sender | Both -> true | Receiver -> false);
-    enc = Option.map Encoding.copy enc;
-    overrides =
-      List.map (fun (host, ov) -> (host, view_override ov)) overrides
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
+    enc;
+    overrides;
   }
 
 let installed_config t =
   let groups =
     Hashtbl.fold
       (fun gid st acc ->
-        let overrides =
-          Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
-        in
-        view_of_group ~gid ~members:st.members ~enc:st.enc ~overrides :: acc)
+        view_of_group ~gid ~members:st.members ~enc:st.enc
+          ~overrides:(sorted_overrides st)
+        :: acc)
       t.groups []
   in
-  Installed_config.make ~spine_ok:(Array.copy t.spine_ok)
-    ~core_ok:(Array.copy t.core_ok) ~link_ok:(Array.copy t.link_ok)
-    ~denied_leaf:(Array.copy t.denied_leaf)
-    ~denied_pod:(Array.copy t.denied_pod)
+  Installed_config.make ~spine_ok:t.spine_ok ~core_ok:t.core_ok
+    ~link_ok:t.link_ok ~denied_leaf:t.denied_leaf ~denied_pod:t.denied_pod
     ~stale_sites:(Hashtbl.fold (fun _ e acc -> e :: acc) t.stale [])
     t.topo t.params groups
 
@@ -1362,44 +1324,50 @@ let read_override ~topo r =
   let unicast = Byteio.Reader.bool r in
   { up_leaf_ports; up_spine_ports; unicast }
 
-let write_snapshot w snap =
-  Topology.write w snap.snap_topo;
-  Params.write w snap.snap_params;
-  Byteio.Writer.bool w snap.snap_incremental;
+(* Serializes the live controller: groups ascending by id, each group's
+   members in insertion order and overrides ascending by host, the stale
+   table ascending by key — the order [read_snapshot] and [restore]
+   reproduce, so a restored controller writes the same bytes. *)
+let write_snapshot w t =
+  Topology.write w t.topo;
+  Params.write w t.params;
+  Byteio.Writer.bool w t.incremental;
   Byteio.Writer.list w
-    (fun w (gid, members, enc, overrides) ->
+    (fun w (gid, st) ->
       Byteio.Writer.int w gid;
       Byteio.Writer.list w
         (fun w (host, role) ->
           Byteio.Writer.int w host;
           write_role w role)
-        members;
-      Byteio.Writer.option w (fun w e -> Encoding.write w e) enc;
+        st.members;
+      Byteio.Writer.option w (fun w e -> Encoding.write w e) st.enc;
       Byteio.Writer.list w
         (fun w (host, ov) ->
           Byteio.Writer.int w host;
           write_override w ov)
-        overrides)
-    snap.snap_groups;
-  Srule_state.write w snap.snap_srules;
-  Byteio.Writer.int w snap.snap_fast_hits;
-  Byteio.Writer.int w snap.snap_reencodes;
-  Byteio.Writer.bool_array w snap.snap_spine_ok;
-  Byteio.Writer.bool_array w snap.snap_core_ok;
-  Byteio.Writer.bool_array w snap.snap_link_ok;
-  Byteio.Writer.bool_array w snap.snap_denied_leaf;
-  Byteio.Writer.bool_array w snap.snap_denied_pod;
+        (sorted_overrides st))
+    (Hashtbl.fold (fun gid st acc -> (gid, st) :: acc) t.groups []
+    |> List.sort by_key);
+  Srule_state.write w t.srules;
+  Byteio.Writer.int w t.fast_hits;
+  Byteio.Writer.int w t.reencodes;
+  Byteio.Writer.bool_array w t.spine_ok;
+  Byteio.Writer.bool_array w t.core_ok;
+  Byteio.Writer.bool_array w t.link_ok;
+  Byteio.Writer.bool_array w t.denied_leaf;
+  Byteio.Writer.bool_array w t.denied_pod;
   Byteio.Writer.list w
     (fun w (key, (group, site)) ->
       Byteio.Writer.int w key;
       Byteio.Writer.int w group;
       write_site w site)
-    snap.snap_stale;
-  Byteio.Writer.int w snap.snap_install_attempts;
-  Byteio.Writer.int w snap.snap_install_retries;
-  Byteio.Writer.int w snap.snap_install_exhausted;
-  Byteio.Writer.int w snap.snap_degradations;
-  Byteio.Writer.int w snap.snap_compensations
+    (Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.stale []
+    |> List.sort by_key);
+  Byteio.Writer.int w t.install_attempts;
+  Byteio.Writer.int w t.install_retries;
+  Byteio.Writer.int w t.install_exhausted;
+  Byteio.Writer.int w t.degradations;
+  Byteio.Writer.int w t.compensations
 
 let snapshot_topology snap = snap.snap_topo
 
@@ -1489,7 +1457,9 @@ let installed_config_of_snapshot snap =
   let groups =
     List.map
       (fun (gid, members, enc, overrides) ->
-        view_of_group ~gid ~members ~enc ~overrides)
+        view_of_group ~gid ~members ~enc:(Option.map Encoding.copy enc)
+          ~overrides:
+            (List.map (fun (host, ov) -> (host, copy_override ov)) overrides))
       snap.snap_groups
   in
   Installed_config.make ~spine_ok:(Array.copy snap.snap_spine_ok)

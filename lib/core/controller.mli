@@ -209,28 +209,32 @@ val recover_link : t -> leaf:int -> plane:int -> failure_report
 
 (** {1 Crash-consistent checkpoints}
 
-    {!snapshot} deep-copies everything recovery needs — membership,
-    encodings (bitmap aliasing preserved), overrides, the s-rule ledger,
-    health/denial state, stale markers, and all counters. {!restore} builds
-    a fresh controller from a snapshot without re-emitting fabric installs
-    (fabric state survives a controller crash); replaying the journaled
-    operation suffix then reproduces the pre-crash state bit-identically:
-    same s-rule occupancy, same headers, same {!churn_stats}. A snapshot is
-    immutable and reusable — restoring twice yields two independent
-    controllers. *)
+    {!write_snapshot} serializes everything recovery needs straight from
+    the live controller — membership, encodings (bitmap aliasing
+    preserved), overrides, the s-rule ledger, health/denial state, stale
+    markers, and all counters — and {!read_snapshot} decodes those bytes
+    into a {!snapshot}; there is no other way to make one. {!restore}
+    builds a fresh controller from a snapshot without re-emitting fabric
+    installs (fabric state survives a controller crash); replaying the
+    journaled operation suffix then reproduces the pre-crash state
+    bit-identically: same s-rule occupancy, same headers, same
+    {!churn_stats}. A snapshot is immutable and reusable — restoring twice
+    yields two independent controllers. *)
 
 type snapshot
-
-val snapshot : t -> snapshot
 
 val restore :
   ?fabric_hooks:fabric_hooks -> ?clock:Elmo_obs.Clock.t -> snapshot -> t
 
-val write_snapshot : Byteio.Writer.t -> snapshot -> unit
-(** Durable byte-level form of a snapshot, for the crash-safe wire format
-    ([lib/fault]'s [Wire]). Encoding aliasing graphs are preserved (see
-    {!Encoding.write}), so a snapshot that round-trips through bytes
-    restores bit-identically. *)
+val write_snapshot : Byteio.Writer.t -> t -> unit
+(** Durable byte-level checkpoint of the live controller, for the
+    crash-safe wire format ([lib/fault]'s [Wire]). It reads the
+    controller's own state and copies nothing but the bytes it writes:
+    groups ascending by id (members in insertion order, overrides
+    ascending by host), the stale table ascending by key. Encoding
+    aliasing graphs are preserved (see {!Encoding.write}), so the bytes
+    restore bit-identically, and a restored controller writes the same
+    bytes again. *)
 
 val read_snapshot : Byteio.Reader.t -> snapshot
 (** Inverse of {!write_snapshot}. A hostile-input boundary: every switch
@@ -244,16 +248,25 @@ val snapshot_topology : snapshot -> Topology.t
 
 (** {1 Installed-configuration views}
 
-    The pure {!Installed_config.t} view of everything this controller has
+    The {!Installed_config.t} view of everything this controller has
     installed — memberships, encodings, overrides, health/denial state and
     compensated stale sites — consumed by the symbolic verification layer
-    ([lib/verify]). Both producers deep-copy, so a view stays valid across
-    later mutations. *)
+    ([lib/verify]). *)
 
 val installed_config : t -> Installed_config.t
-(** The live controller's current installed configuration. *)
+(** The live controller's current installed configuration, {e borrowed}:
+    the view shares the controller's own encodings, override bitmaps and
+    health/denial arrays instead of copying them. It is valid only until
+    the controller's next mutating call (any membership, failure or
+    recovery operation), after which it may show a mix of old and new
+    state; take a fresh view after every mutation. Never mutate it: its
+    bitmaps are the controller's. For a view that owns its data, decode a
+    {!write_snapshot} and use {!installed_config_of_snapshot}. *)
 
 val installed_config_of_snapshot : snapshot -> Installed_config.t
 (** The same view extracted from a crash-consistent checkpoint, without
     building a controller: what a {!Replica}'s recovery target looked like
-    at checkpoint time. *)
+    at checkpoint time. This view {e owns} its data (encodings and
+    overrides are copied out of the snapshot), so it stays valid forever
+    and may be mutated — e.g. corrupted on purpose — without touching the
+    snapshot or any controller. *)

@@ -145,10 +145,10 @@ val prule_count : t -> int
 (** Downstream p-rules in the header (both layers, excluding defaults). *)
 
 val copy : t -> t
-(** Deep copy for crash-consistent checkpoints: fresh tree and rule bitmaps,
-    with the original's aliasing graph preserved (a rule bitmap that
-    physically aliases a tree bitmap still does in the copy — the delta fast
-    path depends on it). The copy holds no s-rule reservations of its own;
+(** Deep copy, used by [Controller.restore] and the owned snapshot view:
+    fresh tree and rule bitmaps, with the original's aliasing graph
+    preserved (a rule bitmap that physically aliases a tree bitmap still
+    does in the copy — the delta fast path depends on it). The copy holds no s-rule reservations of its own;
     the caller pairs it with a matching {!Srule_state.copy}. *)
 
 val write : Byteio.Writer.t -> t -> unit

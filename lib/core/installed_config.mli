@@ -9,9 +9,15 @@
     sites carrying compensated (truthful) entries. It is a plain record of
     plain data — no hooks, no clocks, no ledger — so it can be produced
     equally by a live {!Controller.t}, a {!Controller.snapshot}, a
-    {!Replica.t}, or built by hand in tests. All bitmaps and arrays are
-    owned by the view (producers deep-copy), so a view stays valid across
-    later controller mutations. *)
+    {!Replica.t}, or built by hand in tests.
+
+    Who owns the bitmaps depends on the producer.
+    [Controller.installed_config] (and [Replica.installed_config]) {e borrow}:
+    the view shares the controller's encodings, override bitmaps and
+    health arrays, so it costs no copy but is valid only until the
+    controller's next mutating call, and must never be mutated.
+    [Controller.installed_config_of_snapshot] {e owns} its data: it stays
+    valid forever and may be corrupted on purpose in tests. *)
 
 type override = {
   up_leaf_ports : Bitmap.t;  (** planes the sender's leaf forwards up on *)

@@ -27,7 +27,7 @@ val create : Topology.t -> fmax:int -> t
 
 val copy : t -> t
 (** Independent copy of the occupancy counters (same topology and [fmax]).
-    Used by {!Controller.snapshot} for crash-consistent checkpoints. *)
+    Used by {!Controller.restore}, so a snapshot stays reusable. *)
 
 val fmax : t -> int
 

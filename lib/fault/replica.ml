@@ -12,7 +12,7 @@ type t = {
 let checkpoint t =
   t.since_checkpoint <- 0;
   (match t.wire with
-  | Some w -> Wire.append_snapshot w ~epoch:t.epoch (Controller.snapshot t.ctrl)
+  | Some w -> Wire.append_snapshot w ~epoch:t.epoch t.ctrl
   | None -> ());
   Obs.incr "replica.checkpoints"
 
@@ -25,7 +25,7 @@ let create ?(snapshot_every = 64) ?fabric_hooks ?(incremental = true)
       (* Genesis snapshot: the wire is self-contained from byte 0 — a log
          that loses every later snapshot still recovers from here. *)
       let w = Wire.create () in
-      Wire.append_snapshot w ~epoch:0 (Controller.snapshot ctrl);
+      Wire.append_snapshot w ~epoch:0 ctrl;
       Some w
     end
   in
@@ -79,7 +79,7 @@ let of_wire ?(snapshot_every = 64) ?fabric_hooks ?observer ?epoch
              self-contained and the old (possibly corrupt) bytes are never
              appended to. *)
           let w = Wire.create () in
-          Wire.append_snapshot w ~epoch (Controller.snapshot ctrl);
+          Wire.append_snapshot w ~epoch ctrl;
           {
             snapshot_every;
             ctrl;

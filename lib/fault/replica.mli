@@ -71,4 +71,5 @@ val checkpoint : t -> unit
     the current state. *)
 
 val installed_config : t -> Installed_config.t
-(** The live controller's {!Installed_config.t} view. *)
+(** The live controller's {!Installed_config.t} view, borrowed (see
+    {!Controller.installed_config}): valid until the next {!apply}. *)

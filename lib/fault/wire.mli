@@ -34,9 +34,12 @@ val create : unit -> t
 (** An empty log: magic only, next seq 0. *)
 
 val append_op : t -> epoch:int -> Journal.op -> unit
-val append_snapshot : t -> epoch:int -> Controller.snapshot -> unit
-(** Append one record. Epochs must be non-decreasing across appends and
-    [0 <= epoch < 2^32]; raises [Invalid_argument] otherwise. *)
+val append_snapshot : t -> epoch:int -> Controller.t -> unit
+(** Append one record. A snapshot record's payload is
+    {!Controller.write_snapshot} of the live controller, written straight
+    from its state (no intermediate copy). Epochs must be non-decreasing
+    across appends and [0 <= epoch < 2^32]; raises [Invalid_argument]
+    otherwise. *)
 
 val contents : t -> bytes
 (** The log's current bytes (magic + records), a fresh copy. *)

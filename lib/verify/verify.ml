@@ -34,83 +34,94 @@ let assigned cfg ~group ~site (enc : Encoding.t) =
             | Some (_, bm) -> Some bm
             | None -> None))
 
+(* The compilers below take one group's view and, when it has receivers,
+   its specification tree ([Tree.of_members] of the receivers): the
+   whole-config walks build that tree once per group and hand it to both
+   [compile_view] and [intent_view]. *)
+
+let compile_view ctx cfg (g : Installed_config.group_view) ~spec =
+  match (spec, g.Installed_config.enc) with
+  | None, _ | _, None -> Pred.of_pairs ctx []
+  | Some (spec : Tree.t), Some enc ->
+      let group = g.Installed_config.gid in
+      let topo = cfg.Installed_config.topo in
+      let tree = enc.Encoding.tree in
+      (* On a multi-pod topology some sender always sits outside any
+         given pod, so cross-pod reachability (core bitmap + downstream
+         spine assignment) is required for every receiver pod — the
+         encoder sets the core bit even for single-pod trees. *)
+      let cross_pod = topo.Topology.pods > 1 in
+      let acc = ref [] in
+      let add sw port = acc := (sw, port) :: !acc in
+      List.iter
+        (fun (p, spec_spine) ->
+          let core_covered =
+            (not cross_pod) || Bitmap.get tree.Tree.core_bitmap p
+          in
+          if cross_pod && core_covered then add Pred.Core p;
+          let in_pod = Tree.spine_bitmap tree p in
+          let down_spine =
+            if cross_pod then assigned cfg ~group ~site:(Srule_state.Pod p) enc
+            else None
+          in
+          Bitmap.iter
+            (fun lp ->
+              let spine_covered =
+                bitmap_opt_get in_pod lp
+                && ((not cross_pod)
+                   || (core_covered && bitmap_opt_get down_spine lp))
+              in
+              if spine_covered then begin
+                add (Pred.Spine p) lp;
+                let l = (p * topo.Topology.leaves_per_pod) + lp in
+                match
+                  ( Tree.leaf_bitmap spec l,
+                    assigned cfg ~group ~site:(Srule_state.Leaf l) enc,
+                    Tree.leaf_bitmap tree l )
+                with
+                | Some spec_ports, Some down_leaf, Some tree_ports ->
+                    Bitmap.iter
+                      (fun q ->
+                        if Bitmap.get down_leaf q && Bitmap.get tree_ports q
+                        then add (Pred.Leaf l) q)
+                      spec_ports
+                | _, _, _ -> ()
+              end)
+            spec_spine)
+        spec.Tree.spine_bitmaps;
+      Pred.of_pairs ctx !acc
+
+let intent_view ctx cfg ~spec =
+  match spec with
+  | None -> Pred.of_pairs ctx []
+  | Some (spec : Tree.t) ->
+      let cross_pod = cfg.Installed_config.topo.Topology.pods > 1 in
+      let acc = ref [] in
+      let add sw port = acc := (sw, port) :: !acc in
+      List.iter
+        (fun (p, bm) ->
+          if cross_pod then add Pred.Core p;
+          Bitmap.iter (fun lp -> add (Pred.Spine p) lp) bm)
+        spec.Tree.spine_bitmaps;
+      List.iter
+        (fun (l, bm) -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm)
+        spec.Tree.leaf_bitmaps;
+      Pred.of_pairs ctx !acc
+
+let spec_of cfg (g : Installed_config.group_view) =
+  match g.Installed_config.receivers with
+  | [] -> None
+  | receivers -> Some (Tree.of_members cfg.Installed_config.topo receivers)
+
 let compile ctx cfg ~group =
   match Installed_config.group cfg group with
   | None -> Pred.of_pairs ctx []
-  | Some g -> (
-      match (g.Installed_config.receivers, g.Installed_config.enc) with
-      | [], _ | _, None -> Pred.of_pairs ctx []
-      | receivers, Some enc ->
-          let topo = cfg.Installed_config.topo in
-          let spec = Tree.of_members topo receivers in
-          let tree = enc.Encoding.tree in
-          (* On a multi-pod topology some sender always sits outside any
-             given pod, so cross-pod reachability (core bitmap + downstream
-             spine assignment) is required for every receiver pod — the
-             encoder sets the core bit even for single-pod trees. *)
-          let cross_pod = topo.Topology.pods > 1 in
-          let acc = ref [] in
-          let add sw port = acc := (sw, port) :: !acc in
-          List.iter
-            (fun (p, spec_spine) ->
-              let core_covered =
-                (not cross_pod) || Bitmap.get tree.Tree.core_bitmap p
-              in
-              if cross_pod && core_covered then add Pred.Core p;
-              let in_pod = Tree.spine_bitmap tree p in
-              let down_spine =
-                if cross_pod then
-                  assigned cfg ~group ~site:(Srule_state.Pod p) enc
-                else None
-              in
-              Bitmap.iter
-                (fun lp ->
-                  let spine_covered =
-                    bitmap_opt_get in_pod lp
-                    && ((not cross_pod)
-                       || (core_covered && bitmap_opt_get down_spine lp))
-                  in
-                  if spine_covered then begin
-                    add (Pred.Spine p) lp;
-                    let l = (p * topo.Topology.leaves_per_pod) + lp in
-                    match
-                      ( Tree.leaf_bitmap spec l,
-                        assigned cfg ~group ~site:(Srule_state.Leaf l) enc,
-                        Tree.leaf_bitmap tree l )
-                    with
-                    | Some spec_ports, Some down_leaf, Some tree_ports ->
-                        Bitmap.iter
-                          (fun q ->
-                            if Bitmap.get down_leaf q && Bitmap.get tree_ports q
-                            then add (Pred.Leaf l) q)
-                          spec_ports
-                    | _, _, _ -> ()
-                  end)
-                spec_spine)
-            spec.Tree.spine_bitmaps;
-          Pred.of_pairs ctx !acc)
+  | Some g -> compile_view ctx cfg g ~spec:(spec_of cfg g)
 
 let intent ctx cfg ~group =
   match Installed_config.group cfg group with
   | None -> Pred.of_pairs ctx []
-  | Some g -> (
-      match g.Installed_config.receivers with
-      | [] -> Pred.of_pairs ctx []
-      | receivers ->
-          let topo = cfg.Installed_config.topo in
-          let spec = Tree.of_members topo receivers in
-          let cross_pod = topo.Topology.pods > 1 in
-          let acc = ref [] in
-          let add sw port = acc := (sw, port) :: !acc in
-          List.iter
-            (fun (p, bm) ->
-              if cross_pod then add Pred.Core p;
-              Bitmap.iter (fun lp -> add (Pred.Spine p) lp) bm)
-            spec.Tree.spine_bitmaps;
-          List.iter
-            (fun (l, bm) -> Bitmap.iter (fun q -> add (Pred.Leaf l) q) bm)
-            spec.Tree.leaf_bitmaps;
-          Pred.of_pairs ctx !acc)
+  | Some g -> intent_view ctx cfg ~spec:(spec_of cfg g)
 
 let compile_sender ctx cfg ~group ~sender =
   match Installed_config.group cfg group with
@@ -344,18 +355,23 @@ let admit_header ctx topo ~intent ~sender data =
       | Ok () -> Ok h
       | Error w -> Error (Over_delivery w))
 
+(* One group's (compile, intent) pair, from one specification tree. *)
+let group_preds ctx cfg g =
+  let spec = spec_of cfg g in
+  let c = compile_view ctx cfg g ~spec in
+  (c, intent_view ctx cfg ~spec)
+
 let check_config cfg =
   let ctx = Pred.create_ctx () in
   let rec go n = function
     | [] -> Ok n
-    | gid :: rest -> (
-        let c = compile ctx cfg ~group:gid in
-        let i = intent ctx cfg ~group:gid in
-        match check_equiv ~group:gid c i with
+    | (g : Installed_config.group_view) :: rest -> (
+        let c, i = group_preds ctx cfg g in
+        match check_equiv ~group:g.Installed_config.gid c i with
         | Ok () -> go (n + 1) rest
         | Error w -> Error w)
   in
-  go 0 (Installed_config.group_ids cfg)
+  go 0 cfg.Installed_config.groups
 
 (* {1 Incremental checking}
 
@@ -397,22 +413,22 @@ let check_config_cached cache cfg ~dirty =
   List.iter (fun gid -> Hashtbl.remove cache.c_preds gid) dirty;
   let rec go n = function
     | [] -> Ok n
-    | gid :: rest -> (
+    | (g : Installed_config.group_view) :: rest -> (
+        let gid = g.Installed_config.gid in
         match Hashtbl.find_opt cache.c_preds gid with
         | Some _ ->
             cache.c_hits <- cache.c_hits + 1;
             go (n + 1) rest
         | None -> (
             cache.c_misses <- cache.c_misses + 1;
-            let c = compile cache.c_ctx cfg ~group:gid in
-            let i = intent cache.c_ctx cfg ~group:gid in
+            let c, i = group_preds cache.c_ctx cfg g in
             match check_equiv ~group:gid c i with
             | Ok () ->
                 Hashtbl.add cache.c_preds gid (c, i);
                 go (n + 1) rest
             | Error w -> Error w))
   in
-  go 0 (Installed_config.group_ids cfg)
+  go 0 cfg.Installed_config.groups
 
 let check_controller ctrl = check_config (Controller.installed_config ctrl)
 

@@ -134,11 +134,14 @@ val check_config : Installed_config.t -> (int, witness) result
 (** Checks [compile = intent] for every group of the view, in ascending
     group order. [Ok n] after checking [n] groups; [Error w] names the
     first counterexample — the first receiver-path edge the installed
-    state fails to cover. *)
+    state fails to cover. One walk over the view's groups: each group's
+    specification tree is built once and serves both sides, with no
+    per-group lookup by id. *)
 
 val check_controller : Controller.t -> (int, witness) result
 (** {!check_config} on the controller's own {!Controller.installed_config}
-    view — a live controller checked against its own trees. *)
+    view — a live controller checked against its own trees. The view is
+    borrowed and dropped when the check returns. *)
 
 (** {1 Incremental checking}
 

@@ -241,6 +241,13 @@ let crash_rng_ops rng ~members ~events =
           if link_up.(l).(p) then Journal.Recover_link { leaf = l; plane = p }
           else Journal.Fail_link { leaf = l; plane = p })
 
+(* A checkpoint of [ctrl] as recovery sees it: the bytes
+   [Controller.write_snapshot] writes, decoded. *)
+let snapshot_of ctrl =
+  let w = Byteio.Writer.create () in
+  Controller.write_snapshot w ctrl;
+  Controller.read_snapshot (Byteio.Reader.of_bytes (Byteio.Writer.to_bytes w))
+
 let same_controller_state a b ~groups =
   let sa = Controller.srule_state a and sb = Controller.srule_state b in
   Srule_state.leaf_occupancy sa = Srule_state.leaf_occupancy sb
@@ -364,7 +371,7 @@ let test_crash_recovery_bit_identical () =
 let test_snapshot_reusable_and_isolated () =
   let ctrl = Controller.create topo tight_params in
   ignore (Controller.add_group ctrl ~group:1 (members_both wide_hosts));
-  let snap = Controller.snapshot ctrl in
+  let snap = snapshot_of ctrl in
   (* Two restores from one snapshot, mutated divergently, never bleed into
      each other or the original. *)
   let r1 = Controller.restore snap in

@@ -67,12 +67,17 @@ let test_compile_matches_intent_healthy () =
       Alcotest.failf "healthy controller fails its own check: %a"
         Verify.pp_witness w
 
+(* A view that owns its data: the live controller's checkpoint, decoded. *)
+let owned_view ctrl =
+  Controller.installed_config_of_snapshot (Test_fault.snapshot_of ctrl)
+
 let test_check_config_finds_lost_receiver () =
   let ctrl, _ = mk_ctrl Params.default in
   ignore (Controller.add_group ctrl ~group:0 (both [ 0; 1; h ]));
-  let cfg = Controller.installed_config ctrl in
-  (* Corrupt the view: drop host 1's port from every leaf-layer rule of
-     group 0 — the symbolic check must name exactly that endpoint. *)
+  let cfg = owned_view ctrl in
+  (* Corrupt the owned view (the live one borrows the controller's
+     bitmaps): drop host 1's port from every leaf-layer rule of group 0 —
+     the symbolic check must name exactly that endpoint. *)
   let corrupt (g : Installed_config.group_view) =
     match g.Installed_config.enc with
     | None -> g
@@ -87,11 +92,13 @@ let test_check_config_finds_lost_receiver () =
         g
   in
   let cfg = { cfg with Installed_config.groups = List.map corrupt cfg.Installed_config.groups } in
-  match Verify.check_config cfg with
+  (match Verify.check_config cfg with
   | Ok _ -> Alcotest.fail "corrupted config must fail the check"
   | Error w ->
       Alcotest.(check string) "witness names the lost endpoint" "0/leaf0/1"
-        (Format.asprintf "%a" Verify.pp_witness w)
+        (Format.asprintf "%a" Verify.pp_witness w));
+  Alcotest.(check bool) "live controller untouched by the sabotage" true
+    (Verify.check_controller ctrl = Ok 1)
 
 let test_snapshot_view_matches_live () =
   let ctrl, _ = mk_ctrl Params.default in
@@ -99,7 +106,7 @@ let test_snapshot_view_matches_live () =
   ignore (Controller.fail_spine ctrl 1);
   let ctx = Pred.create_ctx () in
   let live = Controller.installed_config ctrl in
-  let snap = Controller.installed_config_of_snapshot (Controller.snapshot ctrl) in
+  let snap = owned_view ctrl in
   Alcotest.(check bool) "snapshot view compiles identically" true
     (Verify.equiv
        (Verify.compile ctx live ~group:3)
@@ -110,6 +117,79 @@ let test_snapshot_view_matches_live () =
       Alcotest.(check bool) "per-sender too (incl. overrides/health)" true
         (Verify.equiv a b)
   | _ -> Alcotest.fail "multicast path expected on both views"
+
+(* {1 Borrowed and owned views} *)
+
+let test_live_view_borrows_encodings () =
+  let ctrl, _ = mk_ctrl Params.default in
+  ignore (Controller.add_group ctrl ~group:4 (both [ 0; h; (5 * h) + 2 ]));
+  ignore (Controller.add_group ctrl ~group:6 (both [ 1; (3 * h) + 1 ]));
+  ignore (Controller.fail_spine ctrl 1);
+  let cfg = Controller.installed_config ctrl in
+  List.iter
+    (fun (g : Installed_config.group_view) ->
+      let group = g.Installed_config.gid in
+      match (g.Installed_config.enc, Controller.encoding ctrl ~group) with
+      | Some a, Some b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "group %d: the controller's own encoding" group)
+            true (a == b)
+      | _ -> Alcotest.failf "group %d: encoding expected" group)
+    cfg.Installed_config.groups;
+  let owned = owned_view ctrl in
+  List.iter2
+    (fun (live : Installed_config.group_view)
+         (own : Installed_config.group_view) ->
+      match (live.Installed_config.enc, own.Installed_config.enc) with
+      | Some a, Some b ->
+          Alcotest.(check bool) "the owned view copies" false (a == b)
+      | _ -> Alcotest.fail "encoding expected")
+    cfg.Installed_config.groups owned.Installed_config.groups
+
+(* The live (borrowed) view and the owned snapshot view check alike on the
+   six seeded batches of the controller golden pin, uncached and cached. *)
+let test_live_and_owned_views_check_alike () =
+  List.iter
+    (fun seed ->
+      let batch = Test_controller.pin_batch seed in
+      List.iter
+        (fun (pname, params) ->
+          let label what = Printf.sprintf "seed %d/%s: %s" seed pname what in
+          let ctrl = Controller.create Test_controller.pin_topo params in
+          ignore (Controller.install_all ctrl batch);
+          let live = Controller.installed_config ctrl in
+          let owned = owned_view ctrl in
+          let n = Controller.group_count ctrl in
+          let ok = Ok n in
+          Alcotest.(check bool) (label "live check_config") true
+            (Verify.check_config live = ok);
+          Alcotest.(check bool) (label "owned check_config") true
+            (Verify.check_config owned = ok);
+          let dirty = Controller.drain_dirty ctrl in
+          let cached cfg = Verify.check_config_cached (Verify.create_cache ()) cfg ~dirty in
+          Alcotest.(check bool) (label "live check_config_cached") true
+            (cached live = ok);
+          Alcotest.(check bool) (label "owned check_config_cached") true
+            (cached owned = ok))
+        Test_controller.pin_params)
+    [ 11; 23; 37 ]
+
+let test_owned_view_survives_join () =
+  let ctrl, _ = mk_ctrl Params.default in
+  ignore (Controller.add_group ctrl ~group:0 (both [ 0; h; (4 * h) + 1 ]));
+  let ctx = Pred.create_ctx () in
+  let before = owned_view ctrl in
+  let pred_before = Verify.compile ctx (Controller.installed_config ctrl) ~group:0 in
+  (* Receivers on a new leaf and in the same leaf, so the join goes
+     through both the re-encode and the in-place delta paths. *)
+  ignore (Controller.join ctrl ~group:0 ~host:((6 * h) + 3) ~role:Controller.Both);
+  ignore (Controller.join ctrl ~group:0 ~host:1 ~role:Controller.Receiver);
+  let pred_after = Verify.compile ctx (Controller.installed_config ctrl) ~group:0 in
+  Alcotest.(check bool) "the join changed the predicate" false
+    (Verify.equiv pred_before pred_after);
+  Alcotest.(check bool) "owned view still compiles to the pre-join predicate"
+    true
+    (Verify.equiv pred_before (Verify.compile ctx before ~group:0))
 
 (* {1 Symbolic walk vs. packet injection} *)
 
@@ -250,6 +330,60 @@ let test_verify_cache_incremental () =
   Alcotest.(check bool) "removed group evicted" true
     (Verify.cached_preds cache 3 = None)
 
+(* Seeded churn with a spine and a link failure on two pin batches,
+   checked through the cache after every event. The (hits, misses)
+   constants were taken from the per-id-lookup walk that copied every
+   encoding into the view, so they pin that the borrowed-view walk
+   recompiles exactly the same groups. *)
+let cache_pin_run seed params =
+  let batch = Test_controller.pin_batch seed in
+  let ctrl = Controller.create Test_controller.pin_topo params in
+  ignore (Controller.install_all ctrl batch);
+  let cache = Verify.create_cache () in
+  let rng = Rng.create (seed * 7) in
+  let gids = Array.of_list (List.map fst batch) in
+  let nhosts = Topology.num_hosts Test_controller.pin_topo in
+  let check i =
+    match Verify.check_controller_cached cache ctrl with
+    | Ok _ -> ()
+    | Error w -> Alcotest.failf "event %d: witness %a" i Verify.pp_witness w
+  in
+  check 0;
+  for i = 1 to 300 do
+    let group = gids.(Rng.int rng (Array.length gids)) in
+    let members = Controller.members ctrl ~group in
+    (if List.length members > 2 && Rng.bool rng then
+       let host, _ = List.nth members (Rng.int rng (List.length members)) in
+       ignore (Controller.leave ctrl ~group ~host)
+     else
+       let host = Rng.int rng nhosts in
+       if not (List.mem_assoc host members) then
+         let role =
+           match Rng.int rng 3 with
+           | 0 -> Controller.Sender
+           | 1 -> Controller.Receiver
+           | _ -> Controller.Both
+         in
+         ignore (Controller.join ctrl ~group ~host ~role));
+    if i = 100 then ignore (Controller.fail_spine ctrl 3);
+    if i = 200 then ignore (Controller.fail_link ctrl ~leaf:6 ~plane:0);
+    check i
+  done;
+  Verify.cache_stats cache
+
+let test_cache_stats_pinned () =
+  List.iter
+    (fun ((seed, pname), expected) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "seed %d/%s: (hits, misses)" seed pname)
+        expected
+        (cache_pin_run seed (List.assoc pname Test_controller.pin_params)))
+    [
+      ((11, "loose"), (44422, 728));
+      ((11, "tight"), (44422, 728));
+      ((23, "tight"), (44423, 727));
+    ]
+
 let tests =
   [
     Alcotest.test_case "hash-consing" `Quick test_hash_consing;
@@ -263,9 +397,17 @@ let tests =
       test_check_config_finds_lost_receiver;
     Alcotest.test_case "snapshot view compiles like the live one" `Quick
       test_snapshot_view_matches_live;
+    Alcotest.test_case "live view borrows the controller's encodings" `Quick
+      test_live_view_borrows_encodings;
+    Alcotest.test_case "live and owned views check alike (pin batches)" `Slow
+      test_live_and_owned_views_check_alike;
+    Alcotest.test_case "owned view survives a later join" `Quick
+      test_owned_view_survives_join;
     QCheck_alcotest.to_alcotest prop_symbolic_agrees_with_injection;
     Alcotest.test_case "header-only interpretation" `Quick
       test_header_pred_walks_the_header;
     Alcotest.test_case "verify cache: incremental hits" `Quick
       test_verify_cache_incremental;
+    Alcotest.test_case "verify cache: pinned hits and misses" `Slow
+      test_cache_stats_pinned;
   ]
