@@ -15,9 +15,9 @@ let no_updates = { hypervisors = []; leaves = []; pods = [] }
 
 let merge_updates a b =
   {
-    hypervisors = List.sort_uniq compare (a.hypervisors @ b.hypervisors);
-    leaves = List.sort_uniq compare (a.leaves @ b.leaves);
-    pods = List.sort_uniq compare (a.pods @ b.pods);
+    hypervisors = List.sort_uniq Int.compare (a.hypervisors @ b.hypervisors);
+    leaves = List.sort_uniq Int.compare (a.leaves @ b.leaves);
+    pods = List.sort_uniq Int.compare (a.pods @ b.pods);
   }
 
 let spine_update_count topo u = List.length u.pods * topo.Topology.spines_per_pod
@@ -45,8 +45,20 @@ type override = Installed_config.override = {
   unicast : bool;
 }
 
+(* A group's membership is one compact index: the members in insertion
+   order ([hosts]/[roles], live prefix [size]) and the sending hosts
+   ([Sender] or [Both]) ascending ([senders], live prefix [nsenders]). A
+   join appends and a leave removes in place with [Array.blit], so
+   insertion order — what [members] and [write_snapshot] expose — is kept
+   exactly; binary-search insert and remove keep [senders] sorted. The
+   receivers are the encoding's tree members, which every encode and the
+   delta fast path keep sorted and current. *)
 type group_state = {
-  mutable members : (int * role) list;  (* assoc host -> role, insertion order *)
+  mutable hosts : int array;
+  mutable roles : role array;
+  mutable size : int;
+  mutable senders : int array;
+  mutable nsenders : int;
   mutable enc : Encoding.t option;
   applied : (int, override) Hashtbl.t;
       (* sender host -> override currently installed at its hypervisor; only
@@ -95,6 +107,9 @@ type t = {
       (* groups whose installed view may have changed since the last
          [drain_dirty] — feeds the verify layer's predicate-cache
          invalidation *)
+  marks : Bytes.t Lazy.t;
+      (* one byte per host, all zero between uses: scratch for the
+         repeated-host check of [check_invariants] *)
 }
 
 let create ?fabric_hooks ?clock ?(incremental = true) topo params =
@@ -126,21 +141,138 @@ let create ?fabric_hooks ?clock ?(incremental = true) topo params =
     degradations = 0;
     compensations = 0;
     dirty = Hashtbl.create 64;
+    marks = lazy (Bytes.make (Topology.num_hosts topo) '\000');
   }
 
 let topology t = t.topo
 let params t = t.params
 let srule_state t = t.srules
 
-let receivers st =
-  List.filter_map
-    (fun (h, r) -> match r with Receiver | Both -> Some h | Sender -> None)
-    st.members
+let is_sender = function Sender | Both -> true | Receiver -> false
+let is_receiver = function Receiver | Both -> true | Sender -> false
 
-let senders st =
-  List.filter_map
-    (fun (h, r) -> match r with Sender | Both -> Some h | Receiver -> None)
-    st.members
+(* {1 Member index} *)
+
+(* First index in [lo, hi) of the ascending [a] whose value is [>= x];
+   [hi] when there is none. *)
+let lower_bound (a : int array) lo hi (x : int) =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem_sorted (a : int array) n (x : int) =
+  let k = lower_bound a 0 n x in
+  k < n && a.(k) = x
+
+(* [a.(lo) .. a.(hi - 1)] consed in order onto [acc]. *)
+let rec cons_range (a : int array) lo hi acc =
+  if hi <= lo then acc else cons_range a lo (hi - 1) (a.(hi - 1) :: acc)
+
+(* The ascending [a.(lo) .. a.(hi - 1)] as a list with [host] merged in at
+   its place (once): one pass, no sort. *)
+let merge_host ~host (a : int array) lo hi =
+  let k = lower_bound a lo hi host in
+  let above = cons_range a k hi [] in
+  cons_range a lo k (if k < hi && a.(k) = host then above else host :: above)
+
+let rec insert_sorted (host : int) = function
+  | x :: rest when x < host -> x :: insert_sorted host rest
+  | x :: _ as l when x = host -> l
+  | l -> host :: l
+
+let grow a n fill =
+  let b = Array.make (max 4 (2 * n)) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let member_list st = List.init st.size (fun i -> (st.hosts.(i), st.roles.(i)))
+
+let receivers st =
+  let acc = ref [] in
+  for i = st.size - 1 downto 0 do
+    if is_receiver st.roles.(i) then acc := st.hosts.(i) :: !acc
+  done;
+  !acc
+
+(* Insertion-order slot of [host], or [-1]. *)
+let member_slot st (host : int) =
+  let i = ref 0 in
+  while !i < st.size && st.hosts.(!i) <> host do
+    incr i
+  done;
+  if !i < st.size then !i else -1
+
+(* Every member host is a sender, a receiver or both, and the receivers
+   are exactly the encoding's tree members (checked by [check_invariants]),
+   so membership is two binary searches. *)
+let is_member st host =
+  mem_sorted st.senders st.nsenders host
+  ||
+  match st.enc with
+  | Some e -> Tree.mem_host e.Encoding.tree host
+  | None -> false
+
+let append_member st host role =
+  if st.size = Array.length st.hosts then begin
+    st.hosts <- grow st.hosts st.size 0;
+    st.roles <- grow st.roles st.size Sender
+  end;
+  st.hosts.(st.size) <- host;
+  st.roles.(st.size) <- role;
+  st.size <- st.size + 1;
+  if is_sender role then begin
+    let n = st.nsenders in
+    if n = Array.length st.senders then st.senders <- grow st.senders n 0;
+    let k = lower_bound st.senders 0 n host in
+    Array.blit st.senders k st.senders (k + 1) (n - k);
+    st.senders.(k) <- host;
+    st.nsenders <- n + 1
+  end
+
+let remove_slot st i =
+  let host = st.hosts.(i) and role = st.roles.(i) in
+  let tail = st.size - i - 1 in
+  Array.blit st.hosts (i + 1) st.hosts i tail;
+  Array.blit st.roles (i + 1) st.roles i tail;
+  st.size <- st.size - 1;
+  if is_sender role then begin
+    let n = st.nsenders in
+    let k = lower_bound st.senders 0 n host in
+    Array.blit st.senders (k + 1) st.senders k (n - k - 1);
+    st.nsenders <- n - 1
+  end
+
+let by_key (a, _) (b, _) = Int.compare a b
+
+(* A fresh group from its members in insertion order, with one sort by
+   host: that sort yields the ascending sender array, and the sorted pairs
+   it returns give callers every host in order and reveal a repeated host
+   as two adjacent equal keys ([repeated_host]). *)
+let group_of_members members =
+  let sorted = List.sort by_key members in
+  let hosts = Array.of_list (List.map fst members) in
+  let roles = Array.of_list (List.map snd members) in
+  let senders =
+    Array.of_list
+      (List.filter_map (fun (h, r) -> if is_sender r then Some h else None) sorted)
+  in
+  ( {
+      hosts;
+      roles;
+      size = Array.length hosts;
+      senders;
+      nsenders = Array.length senders;
+      enc = None;
+      applied = Hashtbl.create 1;
+    },
+    sorted )
+
+let rec repeated_host = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a = b || repeated_host rest
+  | [ _ ] | [] -> false
 
 let find_group t group =
   match Hashtbl.find_opt t.groups group with
@@ -482,23 +614,22 @@ let refresh_overrides t ~group st =
   | Some enc ->
       if not (all_healthy t) then begin
         let tree = enc.Encoding.tree in
-        List.iter
-          (fun sender ->
-            if flow_impacted t ~group tree ~sender then begin
-              let ov =
-                match choose_upstream t ~tree ~sender with
-                | Some ov -> ov
-                | None ->
-                    {
-                      up_leaf_ports =
-                        Bitmap.create t.topo.Topology.spines_per_pod;
-                      up_spine_ports = None;
-                      unicast = true;
-                    }
-              in
-              Hashtbl.replace st.applied sender ov
-            end)
-          (senders st)
+        for i = 0 to st.nsenders - 1 do
+          let sender = st.senders.(i) in
+          if flow_impacted t ~group tree ~sender then begin
+            let ov =
+              match choose_upstream t ~tree ~sender with
+              | Some ov -> ov
+              | None ->
+                  {
+                    up_leaf_ports = Bitmap.create t.topo.Topology.spines_per_pod;
+                    up_spine_ports = None;
+                    unicast = true;
+                  }
+            in
+            Hashtbl.replace st.applied sender ov
+          end
+        done
       end
 
 (* {1 Group encoding and diffing} *)
@@ -588,7 +719,7 @@ let reconcile t =
     | Some hooks ->
         let entries =
           Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.stale []
-          |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
+          |> List.sort by_key
         in
         List.iter
           (fun (_, (group, site)) ->
@@ -641,19 +772,21 @@ let srule_diff old_srules new_srules =
     List.filter (fun (id, _) -> not (List.mem_assoc id new_srules)) old_srules
     |> List.map fst
   in
-  List.sort_uniq compare (changed @ removed)
+  List.sort_uniq Int.compare (changed @ removed)
 
 let clustering_equal (a : Clustering.result) (b : Clustering.result) =
   List.equal Prule.equal a.Clustering.prules b.Clustering.prules
   && Clustering.equal_default a.Clustering.default b.Clustering.default
 
-(* Senders whose headers change when the tree changes but the common
-   downstream sections do not: locality-based (§3.1 D2b-c). *)
-let affected_senders t old_tree new_tree senders =
+(* Pods whose senders' headers change when the tree changes but the common
+   downstream sections do not: locality-based (§3.1 D2b-c). A sender on a
+   changed leaf is in that leaf's pod, so the pods of the changed leaves
+   name every affected sender. [None] when every sender is affected. *)
+let affected_pods t old_tree new_tree =
   let pods_changed tr1 tr2 = Tree.pods tr1 <> Tree.pods tr2 in
   let changed_leaves tr1 tr2 =
     let bm1 = tr1.Tree.leaf_bitmaps and bm2 = tr2.Tree.leaf_bitmaps in
-    let ids = List.sort_uniq compare (List.map fst bm1 @ List.map fst bm2) in
+    let ids = List.sort_uniq Int.compare (List.map fst bm1 @ List.map fst bm2) in
     List.filter
       (fun l ->
         match (List.assoc_opt l bm1, List.assoc_opt l bm2) with
@@ -663,20 +796,25 @@ let affected_senders t old_tree new_tree senders =
       ids
   in
   match (old_tree, new_tree) with
-  | None, _ | _, None -> senders
+  | None, _ | _, None -> None
   | Some ot, Some nt ->
-      if pods_changed ot nt then senders
-      else begin
-        let leaves = changed_leaves ot nt in
-        let pods =
-          List.sort_uniq compare (List.map (Topology.pod_of_leaf t.topo) leaves)
-        in
-        List.filter
-          (fun h ->
-            List.mem (Topology.leaf_of_host t.topo h) leaves
-            || List.mem (Topology.pod_of_host t.topo h) pods)
-          senders
-      end
+      if pods_changed ot nt then None
+      else
+        Some
+          (List.sort_uniq Int.compare
+             (List.map (Topology.pod_of_leaf t.topo) (changed_leaves ot nt)))
+
+(* The group's senders inside the given ascending pods: one contiguous
+   range of the sorted sender array per pod, since pod [p] holds exactly
+   the hosts [p * span, (p + 1) * span). *)
+let senders_in_pods t st pods =
+  let span = t.topo.Topology.leaves_per_pod * t.topo.Topology.hosts_per_leaf in
+  List.fold_right
+    (fun p acc ->
+      let lo = lower_bound st.senders 0 st.nsenders (p * span) in
+      let hi = lower_bound st.senders lo st.nsenders ((p + 1) * span) in
+      cons_range st.senders lo hi acc)
+    pods []
 
 let reencode t ~group st ~changed_host =
   Obs.with_span "controller.reencode" ~attrs:[ ("group", Obs.Int group) ]
@@ -708,10 +846,10 @@ let reencode t ~group st ~changed_host =
       | None, Some _ | Some _, None -> true
       | None, None -> false
     in
-    let sender_hosts = senders st in
-    let hyp =
-      if common_changed then sender_hosts
-      else affected_senders t old_tree new_tree sender_hosts
+    let hypervisors =
+      match if common_changed then None else affected_pods t old_tree new_tree with
+      | None -> merge_host ~host:changed_host st.senders 0 st.nsenders
+      | Some pods -> insert_sorted changed_host (senders_in_pods t st pods)
     in
     let old_leaf_srules =
       match old_enc with
@@ -734,7 +872,7 @@ let reencode t ~group st ~changed_host =
       | None -> []
     in
     {
-      hypervisors = List.sort_uniq compare (changed_host :: hyp);
+      hypervisors;
       leaves = srule_diff old_leaf_srules new_leaf_srules;
       pods = srule_diff old_pod_srules new_pod_srules;
     }
@@ -802,17 +940,23 @@ let try_fast_delta t ~group st ~host ~joining =
                which the fast path never changes — so when the common
                downstream section is untouched, only senders co-located on
                the flipped leaf (their own downstream leaf rule embeds its
-               port bitmap) need fresh headers. *)
-            let hyp =
-              if a.Encoding.header_changed then senders st
-              else
-                List.filter
-                  (fun h -> Topology.leaf_of_host t.topo h = dleaf)
-                  (senders st)
+               port bitmap) need fresh headers. Those are the contiguous
+               range of the sorted sender array holding the leaf's hosts. *)
+            let hypervisors =
+              if a.Encoding.header_changed then
+                merge_host ~host st.senders 0 st.nsenders
+              else begin
+                let hpl = t.topo.Topology.hosts_per_leaf in
+                let lo = lower_bound st.senders 0 st.nsenders (dleaf * hpl) in
+                let hi =
+                  lower_bound st.senders lo st.nsenders ((dleaf + 1) * hpl)
+                in
+                merge_host ~host st.senders lo hi
+              end
             in
             Some
               {
-                hypervisors = List.sort_uniq compare (host :: hyp);
+                hypervisors;
                 leaves =
                   (match a.Encoding.site with
                   | Encoding.Site_srule -> [ dleaf ]
@@ -827,34 +971,86 @@ exception Invariant_violation of string
 
 (* Opt-in runtime invariant checking: with ELMO_DEBUG_INVARIANTS set, every
    mutating operation re-verifies the s-rule ledger against the installed
-   encodings. The environment is consulted once, lazily, so the disabled
-   path costs a single boolean test. *)
+   encodings and the member index of the groups it touched. The
+   environment is consulted once, lazily, so the disabled path costs a
+   single boolean test. *)
 let debug_invariants =
   lazy
     (match Sys.getenv_opt "ELMO_DEBUG_INVARIANTS" with
     | Some ("1" | "true" | "yes" | "on") -> true
     | _ -> false)
 
-let check_invariants t ~op =
-  if Lazy.force debug_invariants && not (Srule_state.check t.srules) then
-    raise
-      (Invariant_violation
-         (Printf.sprintf
-            "Controller.%s: s-rule ledger diverged from installed encodings"
-            op))
+(* A group's index is consistent when its member hosts are distinct, the
+   sender array is strictly ascending and holds exactly the sending
+   members, and the encoding's tree members are exactly the receiving ones
+   (no encoding when there are none). With distinct hosts and a strictly
+   ascending array, "every sending member is in the array" plus equal
+   counts is set equality. Allocation-free, so it cannot hide an
+   allocation regression of the operation it follows. *)
+let group_consistent t st =
+  let marks = Lazy.force t.marks in
+  let in_range h = 0 <= h && h < Bytes.length marks in
+  let distinct = ref true in
+  for i = 0 to st.size - 1 do
+    let h = st.hosts.(i) in
+    if in_range h then begin
+      if Bytes.get marks h <> '\000' then distinct := false;
+      Bytes.set marks h '\001'
+    end
+  done;
+  for i = 0 to st.size - 1 do
+    let h = st.hosts.(i) in
+    if in_range h then Bytes.set marks h '\000'
+  done;
+  let ascending = ref true in
+  for i = 1 to st.nsenders - 1 do
+    if st.senders.(i - 1) >= st.senders.(i) then ascending := false
+  done;
+  let nsend = ref 0 and nrecv = ref 0 and found = ref true in
+  for i = 0 to st.size - 1 do
+    let h = st.hosts.(i) in
+    let r = st.roles.(i) in
+    if is_sender r then begin
+      incr nsend;
+      if not (mem_sorted st.senders st.nsenders h) then found := false
+    end;
+    if is_receiver r then begin
+      incr nrecv;
+      match st.enc with
+      | Some e -> if not (Tree.mem_host e.Encoding.tree h) then found := false
+      | None -> found := false
+    end
+  done;
+  let tree_members =
+    match st.enc with Some e -> Tree.member_count e.Encoding.tree | None -> 0
+  in
+  !distinct && !ascending && !found && !nsend = st.nsenders
+  && !nrecv = tree_members
+
+(* [group] is the group whose members the operation changed, if any. *)
+let check_invariants ?group t ~op =
+  if Lazy.force debug_invariants then begin
+    let fail what =
+      raise (Invariant_violation (Printf.sprintf "Controller.%s: %s" op what))
+    in
+    if not (Srule_state.check t.srules) then
+      fail "s-rule ledger diverged from installed encodings";
+    match group with
+    | Some st when not (group_consistent t st) ->
+        fail "member index diverged from the encoding"
+    | Some _ | None -> ()
+  end
 
 let add_group t ~group members =
   if Hashtbl.mem t.groups group then
     invalid_arg "Controller.add_group: group exists"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   Log.debug (fun m -> m "add_group %d with %d members" group (List.length members));
-  let hosts = List.map fst members in
-  if List.length (List.sort_uniq compare hosts) <> List.length hosts then
+  let st, sorted = group_of_members members in
+  if repeated_host sorted then
     invalid_arg "Controller.add_group: duplicate member host"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   Obs.with_span "controller.add_group"
-    ~attrs:
-      [ ("group", Obs.Int group); ("members", Obs.Int (List.length members)) ]
+    ~attrs:[ ("group", Obs.Int group); ("members", Obs.Int st.size) ]
   @@ fun () ->
-  let st = { members; enc = None; applied = Hashtbl.create 1 } in
   Hashtbl.add t.groups group st;
   mark_dirty t group;
   encode_group t st;
@@ -868,9 +1064,9 @@ let add_group t ~group members =
     | None -> ([], [])
   in
   reconcile t;
-  check_invariants t ~op:"add_group";
+  check_invariants ~group:st t ~op:"add_group";
   {
-    hypervisors = List.sort_uniq compare hosts;
+    hypervisors = List.map fst sorted;
     leaves = srule_leaves;
     pods = srule_pods;
   }
@@ -885,8 +1081,7 @@ let install_all t batch =
        (fun prev (group, members) ->
          if Hashtbl.mem t.groups group || prev = Some group then
            invalid_arg "Controller.install_all: group exists"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
-         let hosts = List.map fst members in
-         if List.length (List.sort_uniq compare hosts) <> List.length hosts then
+         if repeated_host (List.sort by_key members) then
            invalid_arg "Controller.install_all: duplicate member host"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
          Some group)
        None batch);
@@ -923,20 +1118,21 @@ let remove_group t ~group =
   reconcile t;
   check_invariants t ~op:"remove_group";
   {
-    hypervisors = List.sort_uniq compare (List.map fst st.members);
+    hypervisors =
+      List.sort_uniq Int.compare (Array.to_list (Array.sub st.hosts 0 st.size));
     leaves = srule_leaves;
     pods = srule_pods;
   }
 
 let join t ~group ~host ~role =
   let st = find_group t group in
-  if List.mem_assoc host st.members then
+  if is_member st host then
     invalid_arg "Controller.join: host already a member"; (* elmo-lint: allow exception-discipline — documented API-misuse guard *)
   Obs.with_span "controller.join"
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->
   mark_dirty t group;
-  st.members <- st.members @ [ (host, role) ];
+  append_member st host role;
   let u =
     match role with
     | Sender ->
@@ -952,21 +1148,19 @@ let join t ~group ~host ~role =
             reencode t ~group st ~changed_host:host)
   in
   reconcile t;
-  check_invariants t ~op:"join";
+  check_invariants ~group:st t ~op:"join";
   u
 
 let leave t ~group ~host =
   let st = find_group t group in
-  let role =
-    match List.assoc_opt host st.members with
-    | Some r -> r
-    | None -> raise Not_found
-  in
+  let slot = member_slot st host in
+  if slot < 0 then raise Not_found;
+  let role = st.roles.(slot) in
   Obs.with_span "controller.leave"
     ~attrs:[ ("group", Obs.Int group); ("host", Obs.Int host) ]
   @@ fun () ->
   mark_dirty t group;
-  st.members <- List.remove_assoc host st.members;
+  remove_slot st slot;
   let u =
     match role with
     | Sender -> { hypervisors = [ host ]; leaves = []; pods = [] }
@@ -979,11 +1173,11 @@ let leave t ~group ~host =
             reencode t ~group st ~changed_host:host)
   in
   reconcile t;
-  check_invariants t ~op:"leave";
+  check_invariants ~group:st t ~op:"leave";
   u
 
 let encoding t ~group = (find_group t group).enc
-let members t ~group = (find_group t group).members
+let members t ~group = member_list (find_group t group)
 let group_count t = Hashtbl.length t.groups
 let churn_stats t = { fast_path = t.fast_hits; reencoded = t.reencodes }
 
@@ -1156,8 +1350,8 @@ type snapshot = {
   snap_topo : Topology.t;
   snap_params : Params.t;
   snap_incremental : bool;
-  snap_groups :
-    (int * (int * role) list * Encoding.t option * (int * override) list) list;
+  snap_groups : (int * group_state) list;
+      (* ascending by id; restore and the owned view copy out of them *)
   snap_srules : Srule_state.t;
   snap_fast_hits : int;
   snap_reencodes : int;
@@ -1181,8 +1375,6 @@ let copy_override ov =
     unicast = ov.unicast;
   }
 
-let by_key (a, _) (b, _) = Int.compare a b
-
 (* The installed overrides of one group, ascending by sender host. *)
 let sorted_overrides st =
   Hashtbl.fold (fun host ov acc -> (host, ov) :: acc) st.applied []
@@ -1197,25 +1389,23 @@ let sorted_overrides st =
    controller's next mutating call. [installed_config_of_snapshot] owns
    its data. *)
 
-let view_of_group ~gid ~members ~enc ~overrides =
-  let of_role want =
-    List.filter_map (fun (h, r) -> if want r then Some h else None) members
-    |> List.sort_uniq Int.compare
-  in
-  {
-    Installed_config.gid;
-    receivers = of_role (function Receiver | Both -> true | Sender -> false);
-    senders = of_role (function Sender | Both -> true | Receiver -> false);
-    enc;
-    overrides;
-  }
-
+(* The live view reads both host sets straight off the index: the sorted
+   sender array and the encoding's tree members, which are the receivers
+   (see [group_consistent]). *)
 let installed_config t =
   let groups =
     Hashtbl.fold
       (fun gid st acc ->
-        view_of_group ~gid ~members:st.members ~enc:st.enc
-          ~overrides:(sorted_overrides st)
+        {
+          Installed_config.gid;
+          receivers =
+            (match st.enc with
+            | Some e -> Tree.member_list e.Encoding.tree
+            | None -> []);
+          senders = cons_range st.senders 0 st.nsenders [];
+          enc = st.enc;
+          overrides = sorted_overrides st;
+        }
         :: acc)
       t.groups []
   in
@@ -1231,18 +1421,20 @@ let restore ?fabric_hooks ?clock snap =
   in
   (* The snapshot stays reusable: restore copies out of it again. *)
   List.iter
-    (fun (group, members, enc, overrides) ->
-      let st =
-        {
-          members;
-          enc = Option.map Encoding.copy enc;
-          applied = Hashtbl.create (max 1 (List.length overrides));
-        }
-      in
+    (fun (group, st) ->
+      let applied = Hashtbl.create (max 1 (Hashtbl.length st.applied)) in
       List.iter
-        (fun (host, ov) -> Hashtbl.replace st.applied host (copy_override ov))
-        overrides;
-      Hashtbl.add t.groups group st)
+        (fun (host, ov) -> Hashtbl.replace applied host (copy_override ov))
+        (sorted_overrides st);
+      Hashtbl.add t.groups group
+        {
+          st with
+          hosts = Array.sub st.hosts 0 st.size;
+          roles = Array.sub st.roles 0 st.size;
+          senders = Array.sub st.senders 0 st.nsenders;
+          enc = Option.map Encoding.copy st.enc;
+          applied;
+        })
     snap.snap_groups;
   let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
   blit snap.snap_spine_ok t.spine_ok;
@@ -1335,11 +1527,13 @@ let write_snapshot w t =
   Byteio.Writer.list w
     (fun w (gid, st) ->
       Byteio.Writer.int w gid;
-      Byteio.Writer.list w
-        (fun w (host, role) ->
-          Byteio.Writer.int w host;
-          write_role w role)
-        st.members;
+      (* The member list's framing (u32 count, then each pair), straight
+         from the index. *)
+      Byteio.Writer.u32 w st.size;
+      for i = 0 to st.size - 1 do
+        Byteio.Writer.int w st.hosts.(i);
+        write_role w st.roles.(i)
+      done;
       Byteio.Writer.option w (fun w e -> Encoding.write w e) st.enc;
       Byteio.Writer.list w
         (fun w (host, ov) ->
@@ -1390,14 +1584,16 @@ let read_snapshot r =
               let role = read_role rd in
               (h, role))
         in
-        let enc = Byteio.Reader.option rd (fun rd -> Encoding.read topo rd) in
-        let overrides =
-          Byteio.Reader.list rd (fun rd ->
-              let h = host rd in
-              let ov = read_override ~topo rd in
-              (h, ov))
-        in
-        (gid, members, enc, overrides))
+        let st, sorted = group_of_members members in
+        Byteio.Reader.check (not (repeated_host sorted));
+        st.enc <- Byteio.Reader.option rd (fun rd -> Encoding.read topo rd);
+        List.iter
+          (fun (h, ov) -> Hashtbl.replace st.applied h ov)
+          (Byteio.Reader.list rd (fun rd ->
+               let h = host rd in
+               let ov = read_override ~topo rd in
+               (h, ov)));
+        (gid, st))
   in
   let srules = Srule_state.read ~topo r in
   let fast_hits = Byteio.Reader.int r in
@@ -1454,12 +1650,27 @@ let read_snapshot r =
   }
 
 let installed_config_of_snapshot snap =
+  (* Unlike the live view, both host sets come from the members' roles:
+     the snapshot's encodings are what this view is checked against. *)
   let groups =
     List.map
-      (fun (gid, members, enc, overrides) ->
-        view_of_group ~gid ~members ~enc:(Option.map Encoding.copy enc)
-          ~overrides:
-            (List.map (fun (host, ov) -> (host, copy_override ov)) overrides))
+      (fun (gid, st) ->
+        let of_role want =
+          List.filter_map
+            (fun (h, r) -> if want r then Some h else None)
+            (member_list st)
+          |> List.sort_uniq Int.compare
+        in
+        {
+          Installed_config.gid;
+          receivers = of_role is_receiver;
+          senders = of_role is_sender;
+          enc = Option.map Encoding.copy st.enc;
+          overrides =
+            List.map
+              (fun (host, ov) -> (host, copy_override ov))
+              (sorted_overrides st);
+        })
       snap.snap_groups
   in
   Installed_config.make ~spine_ok:(Array.copy snap.snap_spine_ok)

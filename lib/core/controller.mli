@@ -63,9 +63,13 @@ exception Invariant_violation of string
 (** Raised by the group-lifecycle operations when runtime invariant
     checking is enabled (environment variable [ELMO_DEBUG_INVARIANTS] set
     to [1]/[true]/[yes]/[on]) and the s-rule ledger no longer agrees with
-    the installed encodings. Always indicates a controller bug, never
-    caller error; checking is off by default because {!Srule_state.check}
-    is linear in the number of installed groups. *)
+    the installed encodings, or the member index of the group the
+    operation changed is inconsistent: a repeated host, a sender array
+    that is not strictly ascending or differs from the sending members, or
+    encoding tree members that differ from the receiving ones. Always
+    indicates a controller bug, never caller error; checking is off by
+    default because it is linear in the number of installed groups and in
+    the changed group's size (it allocates nothing). *)
 
 val create :
   ?fabric_hooks:fabric_hooks ->
@@ -116,6 +120,18 @@ val encoding : t -> group:int -> Encoding.t option
 (** [None] when the group has no receivers. *)
 
 val members : t -> group:int -> (int * role) list
+(** The group's (host, role) members in insertion order: {!add_group}'s
+    order, each {!join} appended at the end, a {!leave} removing its host
+    without reordering the rest; {!restore} keeps the checkpointed order.
+
+    Each group keeps one compact member index: insertion-ordered host and
+    role arrays, plus the sending hosts ([Sender] or [Both]) in a sorted
+    array; the receivers are the encoding's tree members. Joins, leaves
+    and their update sets work on the arrays: at worst a scan and an
+    in-place shift of unboxed ints, never a list copy or a sort. This
+    list is built on demand, linear in the group's size, and no churn path
+    calls it. Raises [Not_found] for unknown groups. *)
+
 val group_count : t -> int
 
 type churn_stats = {
